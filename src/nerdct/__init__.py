@@ -21,13 +21,7 @@ from .optim import (
     soft_threshold,
 )
 from .phantom import SHEPP_LOGAN_ELLIPSOIDS, Ellipsoid, shepp_logan_3d
-from .pipeline import (
-    build_geometry,
-    build_operator,
-    build_prior,
-    build_sampler_config,
-    build_schedule,
-)
+from .pipeline import build_geometry, build_operator, build_prior, build_schedule
 from .priors import DenoiserPrior, GmmScalarPrior, IdentityPrior
 from .radon import (
     CTOperator,
@@ -35,8 +29,6 @@ from .radon import (
     add_gaussian_noise,
     default_geometry,
     load_sinogram,
-    radon_adjoint,
-    radon_forward,
     save_sinogram,
     uniform_view_indices,
 )
@@ -58,7 +50,6 @@ from .schedule import (
 )
 from .volume import (
     SLICE_AXES,
-    axpy,
     dot,
     dz_adjoint,
     dz_forward,
@@ -67,8 +58,6 @@ from .volume import (
     l2_norm_sq,
     load_volume,
     save_volume,
-    scale,
-    set_slice,
     validate_volume,
 )
 

@@ -18,13 +18,7 @@ from .config import ConfigError, build_run_config, parse_config_text
 from .metrics import evaluate_volume
 from .optim import NonFiniteGradientError
 from .phantom import shepp_logan_3d
-from .pipeline import (
-    build_geometry,
-    build_operator,
-    build_prior,
-    build_sampler_config,
-    build_schedule,
-)
+from .pipeline import build_operator, build_prior, build_schedule
 from .radon import (
     CTOperator,
     ProjectionGeometry,
@@ -157,9 +151,7 @@ def cmd_reconstruct(cfg):
         ground_truth, _ = load_volume(cfg.volume_path)
         if ground_truth.shape != (cfg.nz, cfg.ny, cfg.nx):
             ground_truth = None
-    sampler = Sampler(
-        build_sampler_config(cfg), operator, y, prior, schedule, ground_truth
-    )
+    sampler = Sampler(cfg, operator, y, prior, schedule, ground_truth)
     recon, traces = sampler.run()
     save_volume(
         cfg.recon_path,

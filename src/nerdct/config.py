@@ -1,9 +1,10 @@
 """Flat key-value run configuration shared by all CLI commands.
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments
-and blank lines ignored.  Every key has a typed default below; unknown
-keys are rejected.  ``lambda``, ``lambda_z`` and ``lambda_couple`` are
-accepted as aliases for the lam* fields.
+and blank lines ignored.  Every key has a typed default: the sampler keys
+in ``SamplerConfig``, the run keys below.  Unknown keys are rejected.
+``lambda``, ``lambda_z`` and ``lambda_couple`` are accepted as aliases for
+the lam* fields.
 """
 
 import math
@@ -11,13 +12,17 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .samplers import SamplerConfig
+
 
 class ConfigError(ValueError):
     """Bad usage or configuration; maps to CLI exit code 1."""
 
 
 @dataclass
-class RunConfig:
+class RunConfig(SamplerConfig):
+    """SamplerConfig's keys plus geometry, schedule, prior, training, paths."""
+
     # volume / geometry
     nx: int = 64
     ny: int = 64
@@ -31,24 +36,6 @@ class RunConfig:
     num_train_steps: int = 1000
     beta_start: float = 1e-4
     beta_end: float = 0.02
-    # sampler
-    method: str = "nerd-p"
-    lam: float = 0.1
-    lam_z: float = 0.05
-    rho: float = 1.0
-    lam_couple: float = 1.0
-    tau: float = 0.01
-    sigma: float = 0.05
-    n_steps: int = 30
-    inner_steps: int = 10
-    lr: float = 1e-3
-    seed: int = 0
-    dds_gamma: float = None
-    dds_admm_iters: int = 5
-    dds_rho: float = 1.0
-    cg_tol: float = 1e-6
-    cg_max_iter: int = 30
-    pdhg_extrapolation: str = "literal"
     # prior
     prior: str = "gmm"             # gmm | conv | identity
     gmm_components: str = (
@@ -65,6 +52,30 @@ class RunConfig:
     recon_path: str = "recon.f64"
     trace_path: str = "trace.csv"
     report_path: str = "report.json"
+
+    def validate(self):
+        super().validate()
+        for name in ("nx", "ny", "nz"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.sigma_y < 0:
+            raise ConfigError(f"sigma_y must be >= 0, got {self.sigma_y}")
+        if not 1 <= self.n_views <= self.n_angles_full:
+            raise ConfigError(
+                f"need 1 <= n_views <= n_angles_full, got {self.n_views} of "
+                f"{self.n_angles_full}"
+            )
+        if self.prior not in ("gmm", "conv", "identity"):
+            raise ConfigError(f"prior must be gmm, conv or identity, got {self.prior!r}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.holdout_fraction < 1:
+            raise ConfigError(
+                f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        return self
 
     def to_dict(self):
         return asdict(self)
@@ -138,32 +149,7 @@ def build_run_config(file_values=None, overrides=None):
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, str(text), _FIELD_TYPES[key]))
-    validate_run_config(cfg)
-    return cfg
-
-
-def validate_run_config(cfg):
-    for name in ("nx", "ny", "nz"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.sigma_y < 0:
-        raise ConfigError(f"sigma_y must be >= 0, got {cfg.sigma_y}")
-    if not 1 <= cfg.n_views <= cfg.n_angles_full:
-        raise ConfigError(
-            f"need 1 <= n_views <= n_angles_full, got {cfg.n_views} of "
-            f"{cfg.n_angles_full}"
-        )
-    if cfg.prior not in ("gmm", "conv", "identity"):
-        raise ConfigError(f"prior must be gmm, conv or identity, got {cfg.prior!r}")
-    if cfg.epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {cfg.epochs}")
-    if not 0 < cfg.holdout_fraction < 1:
-        raise ConfigError(
-            f"holdout_fraction must be in (0, 1), got {cfg.holdout_fraction}"
-        )
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    return cfg
+    return cfg.validate()
 
 
 def parse_gmm_components(text):

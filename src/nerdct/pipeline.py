@@ -1,12 +1,14 @@
-"""Builders wiring a RunConfig into schedule, operator, prior and sampler."""
+"""Builders wiring a RunConfig into schedule, operator and prior."""
 
-import math
-
-from .config import ConfigError, parse_gmm_components
+from .config import parse_gmm_components
 from .convnet import ConvDenoiserPrior, load_weights
 from .priors import GmmScalarPrior, IdentityPrior
-from .radon import CTOperator, ProjectionGeometry, uniform_view_indices
-from .samplers import SamplerConfig
+from .radon import (
+    CTOperator,
+    ProjectionGeometry,
+    default_geometry,
+    uniform_view_indices,
+)
 from .schedule import NoiseSchedule
 
 
@@ -20,19 +22,14 @@ def build_schedule(cfg):
 
 
 def build_geometry(cfg):
-    n_detectors = cfg.n_detectors
-    if n_detectors is None:
-        n_detectors = math.ceil(math.sqrt(2.0) * cfg.nx)
-    return ProjectionGeometry(cfg.n_angles_full, n_detectors, cfg.detector_spacing)
+    if cfg.n_detectors is None:
+        return default_geometry(cfg.nx, cfg.n_angles_full, cfg.detector_spacing)
+    return ProjectionGeometry(cfg.n_angles_full, cfg.n_detectors, cfg.detector_spacing)
 
 
-def build_operator(cfg, geometry=None, view_indices=None):
-    if geometry is None:
-        geometry = build_geometry(cfg)
-    if view_indices is None:
-        view_indices = uniform_view_indices(geometry.n_angles_full, cfg.n_views)
-    if cfg.nx != cfg.ny:
-        raise ConfigError(f"axial slices must be square, got nx={cfg.nx}, ny={cfg.ny}")
+def build_operator(cfg):
+    geometry = build_geometry(cfg)
+    view_indices = uniform_view_indices(geometry.n_angles_full, cfg.n_views)
     return CTOperator(cfg.nx, cfg.ny, cfg.nz, geometry, view_indices)
 
 
@@ -44,25 +41,3 @@ def build_prior(cfg, schedule):
         return GmmScalarPrior(schedule, weights, means, stds)
     layers, _ = load_weights(cfg.weights_path)
     return ConvDenoiserPrior(schedule, layers)
-
-
-def build_sampler_config(cfg):
-    return SamplerConfig(
-        method=cfg.method,
-        lam=cfg.lam,
-        lam_z=cfg.lam_z,
-        rho=cfg.rho,
-        lam_couple=cfg.lam_couple,
-        tau=cfg.tau,
-        sigma=cfg.sigma,
-        n_steps=cfg.n_steps,
-        inner_steps=cfg.inner_steps,
-        lr=cfg.lr,
-        seed=cfg.seed,
-        dds_gamma=cfg.dds_gamma,
-        dds_admm_iters=cfg.dds_admm_iters,
-        dds_rho=cfg.dds_rho,
-        cg_tol=cfg.cg_tol,
-        cg_max_iter=cfg.cg_max_iter,
-        pdhg_extrapolation=cfg.pdhg_extrapolation,
-    ).validate()

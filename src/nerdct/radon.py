@@ -15,7 +15,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,23 +156,6 @@ class CTOperator:
         rows = sino.reshape(self.n_views * self.geometry.n_detectors, self.nz)
         vol = self._matrix_t @ rows
         return np.ascontiguousarray(vol.T.reshape(self.nz, self.ny, self.nx))
-
-
-@lru_cache(maxsize=8)
-def _cached_full_operator(nx, ny, nz, geometry):
-    return CTOperator(nx, ny, nz, geometry)
-
-
-def radon_forward(vol, geometry):
-    """Full-view projection of a volume."""
-    nz, ny, nx = vol.shape
-    return _cached_full_operator(nx, ny, nz, geometry).forward(vol)
-
-
-def radon_adjoint(sino, geometry, nx, ny):
-    """Full-view adjoint (unfiltered backprojection) of a sinogram."""
-    nz = sino.shape[2]
-    return _cached_full_operator(nx, ny, nz, geometry).adjoint(sino)
 
 
 def add_gaussian_noise(sino, sigma_y, seed):

@@ -46,9 +46,6 @@ class Xoshiro256PP:
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
         self._s = tuple(splitmix64_stream(int(seed), 4))
 
-    def next_uint64(self):
-        return self.raw(1)[0]
-
     def raw(self, count):
         """Next `count` raw 64-bit outputs as Python ints."""
         s0, s1, s2, s3 = self._s

@@ -360,7 +360,8 @@ class Sampler:
         state.u = project_linf_ball(
             state.u + cfg.sigma * cfg.lam_z * dz_forward(state.w_bar)
         )
-        assert np.max(np.abs(state.u)) <= 1.0, "dual left the unit l-inf ball"
+        if not np.max(np.abs(state.u)) <= 1.0:
+            raise SamplerError("dual left the unit l-inf ball")
         state.w = w_new
         state.x0 = self.prior.denoise(v, t)
         if resample:

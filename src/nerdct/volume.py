@@ -57,21 +57,13 @@ def dot(a, b):
 
 
 def l2_norm_sq(a):
-    return float(np.dot(a.ravel(), a.ravel()))
+    # An overflowing sum is inf, which callers check; no RuntimeWarning.
+    with np.errstate(over="ignore"):
+        return float(np.dot(a.ravel(), a.ravel()))
 
 
 def l1_norm(a):
     return float(np.sum(np.abs(a)))
-
-
-def axpy(alpha, x, y):
-    """alpha * x + y, shapes must match exactly."""
-    _check_same_shape(x, y)
-    return alpha * x + y
-
-
-def scale(alpha, x):
-    return alpha * x
 
 
 def get_slice(vol, axis, index):
@@ -92,14 +84,6 @@ def get_slice(vol, axis, index):
     if axis == "coronal":
         return vol[:, index, :]
     return vol[:, :, index]
-
-
-def set_slice(vol, axis, index, plane):
-    """Write a 2D plane back in place; inverse of get_slice."""
-    target = get_slice(vol, axis, index)
-    plane = np.asarray(plane)
-    _check_same_shape(target, plane)
-    target[...] = plane
 
 
 def save_volume(path, vol, provenance=None):

@@ -93,6 +93,13 @@ def test_invalid_dims_exit_code_and_no_file(tmp_path):
     assert not (tmp_path / "phantom.f64").exists()
 
 
+def test_sampler_keys_validated_at_load(tmp_path):
+    # Every command validates the full config, sampler keys included.
+    args = BASE + paths_args(tmp_path) + ["--set", "tau=0"]
+    assert main(["generate-phantom"] + args) == 1
+    assert not (tmp_path / "phantom.f64").exists()
+
+
 def test_unknown_command_usage_error():
     assert main(["frobnicate"]) == 1
 

@@ -12,8 +12,6 @@ from nerdct import (
     default_geometry,
     dot,
     load_sinogram,
-    radon_adjoint,
-    radon_forward,
     save_sinogram,
     uniform_view_indices,
 )
@@ -71,7 +69,7 @@ def test_centered_disk_projection_width():
     disk = (xx**2 + yy**2 <= r * r).astype(np.float64)
     vol = disk[None, :, :]
     geom = default_geometry(nx, 45)
-    sino = radon_forward(vol, geom)
+    sino = CTOperator(nx, ny, 1, geom).forward(vol)
     center = geom.n_detectors // 2
     central = sino[:, center, 0]
     # Rasterized disk: allow one voxel of slack around 2r.
@@ -89,7 +87,7 @@ def test_rotation_consistency_smooth_blob():
     blob = np.exp(-(xx**2 + yy**2) / (2.0 * 6.0**2))
     vol = blob[None, :, :]
     geom = default_geometry(nx, 30)
-    sino = radon_forward(vol, geom)
+    sino = CTOperator(nx, ny, 1, geom).forward(vol)
     profiles = sino[:, :, 0]
     ref = profiles[0]
     for k in range(1, geom.n_angles_full):
@@ -215,13 +213,3 @@ def test_sinogram_io_size_mismatch(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_sinogram(str(path))
-
-
-def test_radon_forward_adjoint_wrappers():
-    geom = ProjectionGeometry(n_angles_full=8, n_detectors=23)
-    vol = Xoshiro256PP(7).normal_array((2, 16, 16))
-    sino = radon_forward(vol, geom)
-    op = CTOperator(16, 16, 2, geom)
-    assert np.array_equal(sino, op.forward(vol))
-    back = radon_adjoint(sino, geom, 16, 16)
-    assert np.array_equal(back, op.adjoint(sino))

@@ -1,6 +1,7 @@
 """Sampler behavior: stream discipline, reductions, duals, and traces."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ def test_nerd_p_dual_feasible_every_step():
     assert saw_active_dual
 
 
+def test_nerd_p_broken_projection_raises(monkeypatch):
+    # The feasibility check is a typed error, so it holds under python -O.
+    monkeypatch.setattr("nerdct.samplers.project_linf_ball", lambda u: u + 2.0)
+    op, _, y = small_problem(noise=0.05)
+    sampler = Sampler(config("nerd-p"), op, y, gmm_prior(), SCHED)
+    state = sampler.initialize()
+    with pytest.raises(SamplerError, match="unit l-inf ball"):
+        sampler.nerd_p_step(state, int(SCHED.sampling_steps[0]), 0)
+
+
 def test_nerd_p_lam_z_zero_keeps_dual_silent():
     op, _, y = small_problem(noise=0.05)
     sampler = Sampler(config("nerd-p", lam_z=0.0), op, y, gmm_prior(), SCHED)
@@ -422,5 +433,8 @@ def test_overflowing_inner_objective_raises():
     cfg = config("sitcom", lr=1e200, inner_steps=3, lam=0.1)
     sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
     state = sampler.initialize()
-    with pytest.raises(SamplerError):
-        sampler.sitcom_step(state, 1000, 500, resample=False)
+    # The overflow surfaces as SamplerError alone, without a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SamplerError):
+            sampler.sitcom_step(state, 1000, 500, resample=False)
