@@ -105,28 +105,36 @@ def conv_forward(x2d, t, weights, schedule):
 
 
 def _backward(grad_eps, weights, inputs, pre_acts):
+    """Per-layer (kernel, bias) gradients; the training pass."""
     grad = grad_eps[None]
     weight_grads = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
         weight_grads[i] = conv2d_weight_grad(grad, inputs[i])
+        if i > 0:
+            grad = conv2d_input_grad(grad, weights[i][0]) * (pre_acts[i - 1] > 0.0)
+    return weight_grads
+
+
+def _input_grad(grad_eps, weights, masks):
+    """Transposed-conv chain to the image channel; masks[i] = hidden ReLU i active."""
+    grad = grad_eps[None]
+    for i in range(len(weights) - 1, -1, -1):
         grad = conv2d_input_grad(grad, weights[i][0])
         if i > 0:
-            grad = grad * (pre_acts[i - 1] > 0.0)
-    return grad, weight_grads
+            grad = grad * masks[i - 1]
+    return grad[0]
 
 
 def conv_input_vjp(x2d, t, weights, schedule, cotangent):
     """d<cotangent, eps_hat>/d x2d (image channel only; t channel is constant)."""
-    _, inputs, pre_acts = _forward_cache(x2d, t, weights, schedule)
-    grad_in, _ = _backward(cotangent, weights, inputs, pre_acts)
-    return grad_in[0]
+    _, _, pre_acts = _forward_cache(x2d, t, weights, schedule)
+    return _input_grad(cotangent, weights, [z > 0.0 for z in pre_acts[:-1]])
 
 
 def conv_weight_grad(x2d, t, weights, schedule, cotangent):
     """Per-layer (kernel, bias) gradients of <cotangent, eps_hat>."""
     _, inputs, pre_acts = _forward_cache(x2d, t, weights, schedule)
-    _, weight_grads = _backward(cotangent, weights, inputs, pre_acts)
-    return weight_grads
+    return _backward(cotangent, weights, inputs, pre_acts)
 
 
 def pack_weights(weights):
@@ -157,24 +165,29 @@ class ConvDenoiserPrior(DenoiserPrior):
         self.schedule = schedule
         self.weights = weights
 
-    def _eps_volume(self, x_t, t):
-        eps = np.empty_like(x_t)
-        for k in range(x_t.shape[0]):
-            eps[k] = conv_forward(x_t[k], t, self.weights, self.schedule)
-        return eps
-
     def denoise(self, x_t, t):
-        return tweedie_denoise(x_t, t, self._eps_volume(x_t, t), self.schedule)
+        return self.denoise_and_vjp(x_t, t)[0]
 
-    def input_vjp(self, x_t, t, cotangent):
+    def denoise_and_vjp(self, x_t, t):
+        """One forward pass per slice; the VJP reuses its hidden ReLU masks."""
+        eps = np.empty_like(x_t)
+        # One bool block (slice, hidden layer, channel, y, x); hidden widths match.
+        hidden = (len(CHANNELS) - 2, CHANNELS[1])
+        masks = np.empty((len(x_t),) + hidden + x_t.shape[1:], dtype=bool)
+        for k in range(len(x_t)):
+            eps[k], _, pre_acts = _forward_cache(x_t[k], t, self.weights, self.schedule)
+            masks[k] = [z > 0.0 for z in pre_acts[:-1]]
+        x0 = tweedie_denoise(x_t, t, eps, self.schedule)
         a = self.schedule.alpha_bar[t]
-        out = np.empty_like(x_t)
-        for k in range(x_t.shape[0]):
-            eps_vjp = conv_input_vjp(
-                x_t[k], t, self.weights, self.schedule, cotangent[k]
-            )
-            out[k] = (cotangent[k] - np.sqrt(1.0 - a) * eps_vjp) / np.sqrt(a)
-        return out
+
+        def vjp(cotangent):
+            out = np.empty(cotangent.shape)
+            for k in range(len(cotangent)):
+                eps_vjp = _input_grad(cotangent[k], self.weights, masks[k])
+                out[k] = (cotangent[k] - np.sqrt(1.0 - a) * eps_vjp) / np.sqrt(a)
+            return out
+
+        return x0, vjp
 
 
 def denoising_loss(x2d, t, weights, schedule, eps):
@@ -184,8 +197,7 @@ def denoising_loss(x2d, t, weights, schedule, eps):
     eps_hat, inputs, pre_acts = _forward_cache(noisy, t, weights, schedule)
     diff = eps_hat - eps
     loss = float(np.mean(diff**2))
-    _, weight_grads = _backward(2.0 * diff / diff.size, weights, inputs, pre_acts)
-    return loss, weight_grads
+    return loss, _backward(2.0 * diff / diff.size, weights, inputs, pre_acts)
 
 
 def _holdout_losses(slices, pairs, weights, schedule):

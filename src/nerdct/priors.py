@@ -21,8 +21,12 @@ class DenoiserPrior(abc.ABC):
         """Estimate of the clean image given x_t at time index t."""
 
     @abc.abstractmethod
+    def denoise_and_vjp(self, x_t, t):
+        """(denoise(x_t, t), vjp) in one pass: vjp(c) = d<c, denoise>/d x_t."""
+
     def input_vjp(self, x_t, t, cotangent):
         """d<cotangent, denoise(x_t, t)> / d x_t."""
+        return self.denoise_and_vjp(x_t, t)[1](cotangent)
 
 
 class IdentityPrior(DenoiserPrior):
@@ -33,8 +37,8 @@ class IdentityPrior(DenoiserPrior):
     def denoise(self, x_t, t):
         return x_t
 
-    def input_vjp(self, x_t, t, cotangent):
-        return cotangent
+    def denoise_and_vjp(self, x_t, t):
+        return x_t, lambda cotangent: cotangent
 
 
 class GmmScalarPrior(DenoiserPrior):
@@ -72,39 +76,56 @@ class GmmScalarPrior(DenoiserPrior):
         self.stds = stds
 
     def _moments(self, x_t, t):
-        """Responsibilities and conditional means, shapes (..., K)."""
+        """Responsibilities, cond. means, x_t - sqrt(a) mu_k, sqrt(a) s_k^2, var_k.
+
+        Component axis first, (K, *x_t.shape), so reductions over it are
+        elementwise across K contiguous blocks.
+        """
         a = self.schedule.alpha_bar[t]
         sqrt_a = np.sqrt(a)
         noise_var = 1.0 - a
-        x = np.asarray(x_t, dtype=np.float64)[..., None]
+        x = np.asarray(x_t, dtype=np.float64)
+        per_k = (slice(None),) + (None,) * x.ndim
         var_k = a * self.stds**2 + noise_var
+        log_norm = np.log(self.weights) - 0.5 * np.log(var_k)
+        var_k = var_k[per_k]
+        centred = x - (sqrt_a * self.means)[per_k]
         # Non-finite inputs propagate as NaN responsibilities without
         # warnings; callers validate their outputs.
         with np.errstate(invalid="ignore", over="ignore"):
-            log_w = (
-                np.log(self.weights)
-                - 0.5 * np.log(var_k)
-                - 0.5 * (x - sqrt_a * self.means) ** 2 / var_k
-            )
-            log_w -= log_w.max(axis=-1, keepdims=True)
-            resp = np.exp(log_w)
-            resp /= resp.sum(axis=-1, keepdims=True)
-        cond_mean = (sqrt_a * self.stds**2 * x + noise_var * self.means) / var_k
-        return resp, cond_mean, sqrt_a, var_k
+            resp = np.square(centred)
+            resp *= 0.5
+            resp /= var_k
+            np.subtract(log_norm[per_k], resp, out=resp)
+            resp -= resp.max(axis=0)
+            np.exp(resp, out=resp)
+            resp /= resp.sum(axis=0)
+        gain_k = (sqrt_a * self.stds**2)[per_k]
+        cond_mean = gain_k * x
+        cond_mean += (noise_var * self.means)[per_k]
+        cond_mean /= var_k
+        return resp, cond_mean, centred, gain_k, var_k
 
     def denoise(self, x_t, t):
-        resp, cond_mean, _, _ = self._moments(x_t, t)
-        return np.sum(resp * cond_mean, axis=-1)
+        resp, cond_mean, _, _, _ = self._moments(x_t, t)
+        resp *= cond_mean
+        return resp.sum(axis=0)
+
+    def denoise_and_vjp(self, x_t, t):
+        resp, cond_mean, centred, gain_k, var_k = self._moments(x_t, t)
+        scratch = resp * cond_mean
+        x0 = scratch.sum(axis=0)
+        # sum_k resp * (c_k + (g_k - gbar) * cond_mean) in place; g_k = -centred/var_k
+        log_grad = np.negative(centred, out=centred)
+        log_grad /= var_k
+        np.multiply(resp, log_grad, out=scratch)
+        log_grad -= scratch.sum(axis=0)
+        log_grad *= cond_mean
+        log_grad += gain_k / var_k
+        log_grad *= resp
+        deriv = log_grad.sum(axis=0)
+        return x0, lambda cotangent: cotangent * deriv
 
     def posterior_mean_derivative(self, x_t, t):
-        """Elementwise d denoise / d x_t (diagonal Jacobian)."""
-        resp, cond_mean, sqrt_a, var_k = self._moments(x_t, t)
-        x = np.asarray(x_t, dtype=np.float64)[..., None]
-        slope_k = sqrt_a * self.stds**2 / var_k
-        log_grad = -(x - sqrt_a * self.means) / var_k
-        log_grad_mean = np.sum(resp * log_grad, axis=-1, keepdims=True)
-        deriv = resp * (slope_k + (log_grad - log_grad_mean) * cond_mean)
-        return np.sum(deriv, axis=-1)
-
-    def input_vjp(self, x_t, t, cotangent):
-        return cotangent * self.posterior_mean_derivative(x_t, t)
+        """Elementwise d denoise / d x_t (diagonal Jacobian): the VJP of ones."""
+        return self.denoise_and_vjp(x_t, t)[1](1.0)

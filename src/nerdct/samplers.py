@@ -124,6 +124,11 @@ class Sampler:
                 f"measurements {y.shape} do not match operator "
                 f"{operator.sinogram_shape}"
             )
+        # Chambolle-Pock: tau * sigma * ||lam_z Dz||^2 < 1, with ||Dz||^2 <= 4.
+        step_product = config.tau * config.sigma * config.lam_z**2 * 4.0
+        if config.method == "nerd-p" and step_product >= 1.0:
+            logger.warning("nerd-p step sizes break the Chambolle-Pock condition: "
+                           "tau*sigma*lam_z^2*4 = %g >= 1", step_product)
         if config.n_steps != schedule.n_sampling_steps:
             schedule = schedule.with_sampling_steps(config.n_steps)
         self.config = config
@@ -183,7 +188,7 @@ class Sampler:
         adam = AdamState(lr=cfg.lr)
         losses = []
         for _ in range(cfg.inner_steps):
-            x0 = self.prior.denoise(v, t)
+            x0, vjp = self.prior.denoise_and_vjp(v, t)
             resid = self.op.forward(x0) - self.y
             loss = l2_norm_sq(resid)
             cot = 2.0 * self.op.adjoint(resid)
@@ -191,7 +196,8 @@ class Sampler:
                 gap = dz_forward(x0) - z + w_dual
                 loss += 0.5 * cfg.rho * l2_norm_sq(gap)
                 cot += cfg.rho * dz_adjoint(gap)
-            grad = self.prior.input_vjp(v, t, cot)
+            grad = vjp(cot)
+            del vjp  # free its buffers before the next pass allocates new ones
             if cfg.lam != 0.0:
                 diff = v - x_t
                 loss += cfg.lam * l2_norm_sq(diff)
@@ -229,26 +235,27 @@ class Sampler:
     def _optimize_joint(self, x_t, t, w_hat):
         """K joint Adam updates for nerd-p, from v = x_t, w = w_hat.
 
-        Objective over the concatenated pair:
+        Objective over the stacked pair (v, w):
         ||A w - y||^2 + lam ||v - x_t||^2 + ||w - w_hat||^2 / (2 tau)
         + lam_couple ||f(v) - w||^2.
         """
         cfg = self.config
-        n = x_t.size
-        flat = np.concatenate([x_t.ravel(), w_hat.ravel()])
+        pair = np.stack([x_t, w_hat])
+        grad = np.empty_like(pair)
+        grad_v, grad_w = grad
         adam = AdamState(lr=cfg.lr)
         losses = []
         for _ in range(cfg.inner_steps):
-            v = flat[:n].reshape(self.volume_shape)
-            w = flat[n:].reshape(self.volume_shape)
+            v, w = pair
             resid = self.op.forward(w) - self.y
             w_gap = w - w_hat
             loss = l2_norm_sq(resid) + 0.5 / cfg.tau * l2_norm_sq(w_gap)
-            grad_w = 2.0 * self.op.adjoint(resid) + w_gap / cfg.tau
-            grad_v = np.zeros_like(v)
-            couple = self.prior.denoise(v, t) - w
+            np.add(2.0 * self.op.adjoint(resid), w_gap / cfg.tau, out=grad_w)
+            x0, vjp = self.prior.denoise_and_vjp(v, t)
+            couple = x0 - w
             loss += cfg.lam_couple * l2_norm_sq(couple)
-            grad_v += 2.0 * cfg.lam_couple * self.prior.input_vjp(v, t, couple)
+            np.multiply(2.0 * cfg.lam_couple, vjp(couple), out=grad_v)
+            del vjp
             grad_w -= 2.0 * cfg.lam_couple * couple
             if cfg.lam != 0.0:
                 anchor = v - x_t
@@ -256,11 +263,8 @@ class Sampler:
                 grad_v += 2.0 * cfg.lam * anchor
             self._check_finite(loss, t, "joint optimization")
             losses.append(loss)
-            flat = adam_step(
-                adam, flat, np.concatenate([grad_v.ravel(), grad_w.ravel()])
-            )
-        v = flat[:n].reshape(self.volume_shape)
-        w = flat[n:].reshape(self.volume_shape)
+            pair = adam_step(adam, pair, grad)
+        v, w = pair
         return v, w, losses
 
     def _solve_joint_exact(self, x_t, t, w_hat):
@@ -268,12 +272,9 @@ class Sampler:
         if not self.prior.is_linear:
             raise SamplerError("exact inner solves need a linear prior")
         cfg = self.config
-        n = x_t.size
-        shape = self.volume_shape
 
-        def apply_op(flat):
-            v = flat[:n].reshape(shape)
-            w = flat[n:].reshape(shape)
+        def apply_op(pair):
+            v, w = pair
             couple = v - w
             out_v = 2.0 * cfg.lam_couple * couple + 2.0 * cfg.lam * v
             out_w = (
@@ -281,20 +282,15 @@ class Sampler:
                 + w / cfg.tau
                 - 2.0 * cfg.lam_couple * couple
             )
-            return np.concatenate([out_v.ravel(), out_w.ravel()])
+            return np.stack([out_v, out_w])
 
-        rhs = np.concatenate(
-            [
-                (2.0 * cfg.lam * x_t).ravel(),
-                (2.0 * self.op.adjoint(self.y) + w_hat / cfg.tau).ravel(),
-            ]
-        )
-        start = np.concatenate([x_t.ravel(), w_hat.ravel()])
+        rhs = np.stack([2.0 * cfg.lam * x_t,
+                        2.0 * self.op.adjoint(self.y) + w_hat / cfg.tau])
         result = cg_solve(apply_op, rhs, tol=_EXACT_TOL, max_iter=_EXACT_MAX_ITER,
-                          x0=start)
+                          x0=np.stack([x_t, w_hat]))
         if result.breakdown:
             raise SamplerError("CG breakdown in exact joint solve")
-        return result.x[:n].reshape(shape), result.x[n:].reshape(shape)
+        return result.x[0], result.x[1]
 
     # ------------------------------------------------------------- steps
 

@@ -233,3 +233,41 @@ def test_prior_vjp_finite_difference_through_volume():
         vm = vol.copy(); vm[k, i, j] -= h
         fd = (np.sum(cot * prior.denoise(vp, 450)) - np.sum(cot * prior.denoise(vm, 450))) / (2 * h)
         assert abs(g[k, i, j] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def closure_arrays(fn):
+    """Arrays a closure keeps alive, including those inside lists and tuples."""
+    found, todo = [], [cell.cell_contents for cell in fn.__closure__]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return found
+
+
+def test_prior_denoise_and_vjp_bit_identical_per_slice():
+    weights = init_weights(21)
+    prior = ConvDenoiserPrior(SCHED, weights)
+    rng = Xoshiro256PP(22)
+    vol = rng.normal_array((3, 7, 6))
+    cot = rng.normal_array((3, 7, 6))
+    t = 350
+    a = SCHED.alpha_bar[t]
+    before = dict(vars(prior))
+    x0, vjp = prior.denoise_and_vjp(vol, t)
+    assert np.array_equal(x0, prior.denoise(vol, t))
+    got = vjp(cot)
+    for k in range(3):
+        net_vjp = conv_input_vjp(vol[k], t, weights, SCHED, cot[k])
+        expected = (cot[k] - np.sqrt(1 - a) * net_vjp) / np.sqrt(a)
+        assert np.array_equal(got[k], expected)
+    assert np.array_equal(prior.input_vjp(vol, t, cot), got)
+    assert vars(prior).keys() == before.keys()
+    assert all(vars(prior)[key] is value for key, value in before.items())
+    # The closure keeps the prior and boolean ReLU masks, never the input,
+    # the activations or the noise prediction.
+    held = closure_arrays(vjp)
+    assert not any(arr is vol or np.shares_memory(arr, vol) for arr in held)
+    assert all(arr.dtype == bool for arr in held if arr.shape[-2:] == vol.shape[-2:])

@@ -1,9 +1,11 @@
 """Gaussian-mixture scalar prior: posterior mean, limits, derivative."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from nerdct import GmmScalarPrior, IdentityPrior, NoiseSchedule
+from nerdct import DenoiserPrior, GmmScalarPrior, IdentityPrior, NoiseSchedule
 from nerdct.rng import Xoshiro256PP
 
 
@@ -149,6 +151,14 @@ def test_identity_prior():
     assert np.array_equal(prior.denoise(x, 500), x)
     cot = Xoshiro256PP(9).normal_array((2, 3, 4))
     assert np.array_equal(prior.input_vjp(x, 500, cot), cot)
+    x0, vjp = prior.denoise_and_vjp(x, 500)
+    assert np.array_equal(x0, x)
+    assert np.array_equal(vjp(cot), cot)
+    assert vars(prior) == {}
+
+
+def test_prior_interface_has_two_abstract_methods():
+    assert DenoiserPrior.__abstractmethods__ == {"denoise", "denoise_and_vjp"}
 
 
 def test_no_saturation_overflow():
@@ -160,3 +170,57 @@ def test_no_saturation_overflow():
         assert np.all(np.isfinite(out))
         vjp = prior.input_vjp(x, t, np.ones_like(x))
         assert np.all(np.isfinite(vjp))
+
+
+def last_axis_reference(prior, x_t, t):
+    """Posterior mean and derivative with the component axis last.
+
+    The layout and operation order the prior used before it moved the
+    component axis first; its outputs must match these bit for bit.
+    """
+    a = prior.schedule.alpha_bar[t]
+    sqrt_a = np.sqrt(a)
+    noise_var = 1.0 - a
+    x = np.asarray(x_t, dtype=np.float64)[..., None]
+    var_k = a * prior.stds**2 + noise_var
+    with np.errstate(invalid="ignore", over="ignore"):
+        log_w = (
+            np.log(prior.weights)
+            - 0.5 * np.log(var_k)
+            - 0.5 * (x - sqrt_a * prior.means) ** 2 / var_k
+        )
+        log_w -= log_w.max(axis=-1, keepdims=True)
+        resp = np.exp(log_w)
+        resp /= resp.sum(axis=-1, keepdims=True)
+    cond_mean = (sqrt_a * prior.stds**2 * x + noise_var * prior.means) / var_k
+    slope_k = sqrt_a * prior.stds**2 / var_k
+    log_grad = -(x - sqrt_a * prior.means) / var_k
+    log_grad_mean = np.sum(resp * log_grad, axis=-1, keepdims=True)
+    deriv = resp * (slope_k + (log_grad - log_grad_mean) * cond_mean)
+    return np.sum(resp * cond_mean, axis=-1), np.sum(deriv, axis=-1)
+
+
+@pytest.mark.parametrize("t", [1, 500, 999])
+@pytest.mark.parametrize("case", ["far_tails", "volume"])
+def test_denoise_and_vjp_bit_identical(case, t):
+    if case == "far_tails":
+        prior, _ = make_prior([0.5, 0.5], [0.0, 1.0], [0.01, 0.01])
+        x = np.array([[[-50.0, 50.0, 0.0]]])
+    else:
+        prior, _ = make_prior([0.55, 0.25, 0.2], [0.0, 0.3, 1.0], [0.04, 0.06, 0.12])
+        x = 0.6 * Xoshiro256PP(10).normal_array((4, 5, 6)) + 0.3
+    cot = Xoshiro256PP(11).normal_array(x.shape)
+    before = dict(vars(prior))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x0, vjp = prior.denoise_and_vjp(x, t)
+        grad = vjp(cot)
+        ref_x0, ref_deriv = last_axis_reference(prior, x, t)
+        assert np.array_equal(x0, prior.denoise(x, t))
+        assert np.array_equal(x0, ref_x0)
+        assert np.array_equal(grad, cot * ref_deriv)
+        assert np.array_equal(prior.input_vjp(x, t, cot), grad)
+        assert np.array_equal(prior.posterior_mean_derivative(x, t), ref_deriv)
+    assert np.all(np.isfinite(x0)) and np.all(np.isfinite(grad))
+    assert vars(prior).keys() == before.keys()
+    assert all(vars(prior)[key] is value for key, value in before.items())

@@ -348,6 +348,21 @@ def test_dds_cg_nonconvergence_warns(caplog):
     assert any("CG stopped" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("method, tau, sigma, lam_z, warns", [
+    ("nerd-p", 0.01, 20.0, 0.05, False),  # the pins: 0.002
+    ("nerd-p", 0.25, 1.0, 1.0, True),     # exactly 1
+    ("nerd-p", 0.5, 1.0, 1.0, True),
+    ("nerd-a", 0.5, 1.0, 1.0, False),     # no PDHG steps
+])
+def test_pdhg_step_size_condition_logged(caplog, method, tau, sigma, lam_z, warns):
+    # Chambolle-Pock needs tau * sigma * lam_z^2 * ||Dz||^2 < 1, ||Dz||^2 <= 4.
+    op, _, y = small_problem()
+    cfg = config(method, tau=tau, sigma=sigma, lam_z=lam_z)
+    with caplog.at_level(logging.WARNING, logger="nerdct.samplers"):
+        Sampler(cfg, op, y, gmm_prior(), SCHED)
+    assert any("Chambolle-Pock" in rec.message for rec in caplog.records) == warns
+
+
 # ----------------------------------------------------- exact inner solves
 
 def dense_operator_matrix(op):
