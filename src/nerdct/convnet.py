@@ -23,31 +23,47 @@ KERNEL = 3
 CHANNELS = (2, 8, 8, 1)  # image + time channel in, eps out
 
 
-def conv2d(x, weight, bias):
-    """3x3 stride-1 conv with zero same-padding; x is (Cin, H, W)."""
-    c_in, height, width = x.shape
-    c_out = weight.shape[0]
-    padded = np.zeros((c_in, height + 2, width + 2))
-    padded[:, 1:-1, 1:-1] = x
-    out = np.zeros((c_out, height, width))
+def _tap_sum(x, taps, scatter):
+    """Sum over the taps (dy, dx), in row-major order, of taps[dy, dx] @ x.
+
+    x (C, H, W) is zero-padded once into a (C, H+2, W+4) buffer viewed flat,
+    so each tap's operand is a contiguous run that BLAS reads in place: the
+    conv reads at the tap's shift and adds at the centre, the transposed conv
+    (scatter) reads at the centre and adds at the shift.  Pitch columns are
+    cropped; in the scatter they add +-0 to sums that start at +0.0.  The bits
+    equal a per-tap np.dot on the dense patch: kernels go in as np.dot takes
+    them (a matrix copied, a row strided), and the run spans the first to the
+    last pixel with length H*W mod 4, so gemv kernels that round the last
+    N mod 4 outputs apart round the same pixels apart.
+    """
+    taps = np.ascontiguousarray(taps) if taps.shape[2] > 1 else taps
+    # matmul runs a one-column kernel (an outer product) through a slow loop.
+    product = np.matmul if taps.shape[3] > 1 else np.multiply
+    c, height, width = x.shape
+    row = width + 4
+    n = (height - 1) * row + width
+    padded = np.zeros((c, height + 2, row))
+    padded[:, 1:height + 1, 1:width + 1] = x
+    flat = padded.reshape(c, -1)
+    out = np.zeros((taps.shape[2], (height + 2) * row))
+    prod = np.empty((taps.shape[2], n))
     for dy in range(KERNEL):
         for dx in range(KERNEL):
-            patch = padded[:, dy:dy + height, dx:dx + width]
-            out += np.tensordot(weight[:, :, dy, dx], patch, axes=1)
-    return out + bias[:, None, None]
+            shift = dy * row + dx
+            read, write = (row + 1, shift) if scatter else (shift, row + 1)
+            product(taps[dy, dx], flat[:, read:read + n], out=prod)
+            out[:, write:write + n] += prod
+    return out.reshape(-1, height + 2, row)[:, 1:height + 1, 1:width + 1]
+
+
+def conv2d(x, weight, bias):
+    """3x3 stride-1 conv with zero same-padding; x is (Cin, H, W)."""
+    return _tap_sum(x, weight.transpose(2, 3, 0, 1), scatter=False) + bias[:, None, None]
 
 
 def conv2d_input_grad(grad_out, weight):
     """Gradient w.r.t. the conv input (transposed conv, same kernel)."""
-    c_out, height, width = grad_out.shape
-    c_in = weight.shape[1]
-    acc = np.zeros((c_in, height + 2, width + 2))
-    for dy in range(KERNEL):
-        for dx in range(KERNEL):
-            acc[:, dy:dy + height, dx:dx + width] += np.tensordot(
-                weight[:, :, dy, dx].T, grad_out, axes=1
-            )
-    return acc[:, 1:-1, 1:-1]
+    return _tap_sum(grad_out, weight.transpose(2, 3, 1, 0), scatter=True)
 
 
 def conv2d_weight_grad(grad_out, x):

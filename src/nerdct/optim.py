@@ -30,7 +30,7 @@ class AdamState:
 
 
 def adam_step(state, x, grad):
-    """One Adam update; mutates `state`, returns the new iterate."""
+    """One Adam update; mutates `state` in place, never `x`; returns the new iterate."""
     if grad.shape != x.shape:
         raise ValueError(f"gradient shape {grad.shape} != iterate shape {x.shape}")
     if not np.all(np.isfinite(grad)):
@@ -42,11 +42,18 @@ def adam_step(state, x, grad):
         state.m = np.zeros_like(x)
         state.v = np.zeros_like(x)
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return x - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    scratch = np.multiply(1.0 - state.beta1, grad)
+    state.m *= state.beta1
+    state.m += scratch
+    np.multiply(1.0 - state.beta2, grad, out=scratch)
+    scratch *= grad
+    state.v *= state.beta2
+    state.v += scratch
+    np.sqrt(np.divide(state.v, 1.0 - state.beta2 ** state.t, out=scratch), out=scratch)
+    scratch += state.eps
+    step = state.m / (1.0 - state.beta1 ** state.t) * state.lr
+    step /= scratch
+    return np.subtract(x, step, out=step)
 
 
 def soft_threshold(v, kappa):

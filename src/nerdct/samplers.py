@@ -389,6 +389,7 @@ class Sampler:
 
         z = np.zeros_like(x)
         w = np.zeros_like(x)
+        residuals = []  # relative residuals of the solves that did not converge
         for it in range(cfg.dds_admm_iters):
             rhs = self._aty2 + rho * dz_adjoint(z - w)
             result = cg_solve(apply_op, rhs, tol=cfg.cg_tol,
@@ -396,14 +397,15 @@ class Sampler:
             if result.breakdown:
                 raise SamplerError("CG breakdown in dds data-consistency solve")
             if not result.converged:
-                logger.warning(
-                    "dds CG stopped at %d iterations, relative residual %.3e",
-                    result.iterations, result.relative_residual,
-                )
+                residuals.append(result.relative_residual)
             x = result.x
             dz_x = dz_forward(x)
             z = soft_threshold(dz_x + w, gamma / rho)
             w = w + dz_x - z
+        if residuals:
+            logger.warning("dds CG stopped at %d iterations in %d of %d solves, worst "
+                           "relative residual %.3e", cfg.cg_max_iter, len(residuals),
+                           cfg.dds_admm_iters, max(residuals))
         return x
 
     def step(self, state, t, t_next, resample=True):

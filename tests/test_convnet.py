@@ -17,6 +17,7 @@ from nerdct.convnet import (
     CHANNELS,
     KERNEL,
     conv2d,
+    conv2d_input_grad,
     denoising_loss,
     init_weights,
     pack_weights,
@@ -45,6 +46,61 @@ def test_conv2d_against_naive_loops():
                         for v in range(KERNEL):
                             acc += w[co, ci, u, v] * xp[ci, i + u, j + v]
                 assert abs(out[co, i, j] - acc) < 1e-12
+
+
+def tensordot_conv2d(x, weight, bias):
+    """Reference: conv2d as a per-tap tensordot over copied patches."""
+    c_in, height, width = x.shape
+    c_out = weight.shape[0]
+    padded = np.zeros((c_in, height + 2, width + 2))
+    padded[:, 1:-1, 1:-1] = x
+    out = np.zeros((c_out, height, width))
+    for dy in range(KERNEL):
+        for dx in range(KERNEL):
+            patch = padded[:, dy:dy + height, dx:dx + width]
+            out += np.tensordot(weight[:, :, dy, dx], patch, axes=1)
+    return out + bias[:, None, None]
+
+
+def tensordot_conv2d_input_grad(grad_out, weight):
+    """Reference: the transposed conv as a per-tap tensordot scatter."""
+    c_out, height, width = grad_out.shape
+    c_in = weight.shape[1]
+    acc = np.zeros((c_in, height + 2, width + 2))
+    for dy in range(KERNEL):
+        for dx in range(KERNEL):
+            acc[:, dy:dy + height, dx:dx + width] += np.tensordot(
+                weight[:, :, dy, dx].T, grad_out, axes=1
+            )
+    return acc[:, 1:-1, 1:-1]
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("c_in, c_out", [(2, 8), (8, 8), (8, 1), (1, 3)])
+@pytest.mark.parametrize("height, width", [(1, 1), (7, 6), (6, 7), (64, 64)])
+def test_conv_kernels_bit_identical_to_tensordot_loops(c_in, c_out, height, width):
+    rng = Xoshiro256PP(100 * c_in + c_out + height)
+    x = rng.normal_array((c_in, height, width))
+    w = rng.normal_array((c_out, c_in, KERNEL, KERNEL))
+    b = rng.normals(c_out)
+    assert_same_bits(conv2d(x, w, b), tensordot_conv2d(x, w, b))
+
+    # A cotangent masked like a ReLU's: exact 0.0 and -0.0 entries and blocks.
+    grad = rng.normal_array((c_out, height, width))
+    grad *= rng.normal_array(grad.shape) > 0.0
+    grad[:, : height // 2, : width // 2] = 0.0
+    grad[:, height // 2 :, width // 2 :] = -0.0
+    for g in (grad, rng.normal_array(grad.shape)):
+        assert_same_bits(conv2d_input_grad(g, w), tensordot_conv2d_input_grad(g, w))
+        # The transposed conv is the adjoint of the bias-free conv.
+        lhs = float(np.sum(conv2d(x, w, np.zeros(c_out)) * g))
+        rhs = float(np.sum(x * conv2d_input_grad(g, w)))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_zero_weights_zero_prediction():

@@ -65,6 +65,41 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(state, np.zeros(3), np.array([np.inf, 0.0, 0.0]))
 
 
+def test_adam_in_place_matches_out_of_place_formulas():
+    # The moments are updated in place; the iterates must keep the bits of
+    # the out-of-place recursion, and the input iterate (here a stacked
+    # pair the caller holds views of) must never be written.
+    lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
+    rng = Xoshiro256PP(5)
+    state = AdamState(lr=lr)
+    x = np.stack([rng.normal_array((3, 4, 5)), rng.normal_array((3, 4, 5))])
+    ref, m, v = x.copy(), np.zeros_like(x), np.zeros_like(x)
+    for t in range(1, 41):
+        g = t * rng.normal_array(x.shape)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        held = x.copy()
+        first, second = x
+        new = adam_step(state, x, g)
+        assert np.array_equal(x, held)
+        assert np.array_equal(first, held[0]) and np.array_equal(second, held[1])
+        assert not np.shares_memory(new, x)
+        x = new
+        assert np.array_equal(x, ref)
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+def test_adam_nonfinite_gradient_leaves_state_untouched():
+    state = AdamState(lr=0.1)
+    x = adam_step(state, np.zeros(3), np.array([1.0, -2.0, 0.5]))
+    m, v = state.m.copy(), state.v.copy()
+    with pytest.raises(NonFiniteGradientError):
+        adam_step(state, x, np.array([1.0, np.nan, 0.0]))
+    assert state.t == 1
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
 def test_adam_state_isolated_between_instances():
     s1 = AdamState(lr=0.1)
     s2 = AdamState(lr=0.1)

@@ -348,6 +348,20 @@ def test_dds_cg_nonconvergence_warns(caplog):
     assert any("CG stopped" in rec.message for rec in caplog.records)
 
 
+def test_dds_cg_nonconvergence_warns_once_per_step(caplog):
+    op, _, y = small_problem(noise=0.05)
+    cfg = config("dds", cg_tol=1e-15, cg_max_iter=1, dds_admm_iters=5)
+    sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
+    state = sampler.initialize()
+    with caplog.at_level(logging.WARNING, logger="nerdct.samplers"):
+        sampler.dds_step(state, 1000, 500)
+        sampler.dds_step(state, 500, 250)
+    assert len(caplog.records) == 2
+    for rec in caplog.records:
+        assert "CG stopped at 1 iterations in 5 of 5 solves" in rec.message
+        assert "worst relative residual" in rec.message
+
+
 @pytest.mark.parametrize("method, tau, sigma, lam_z, warns", [
     ("nerd-p", 0.01, 20.0, 0.05, False),  # the pins: 0.002
     ("nerd-p", 0.25, 1.0, 1.0, True),     # exactly 1
