@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from nerdct import evaluate_volume, psnr, ssim_2d
+from nerdct import evaluate_volume, get_slice, metrics, psnr, ssim_2d
 from nerdct.metrics import SSIM_SIGMA, SSIM_WINDOW
 from nerdct.rng import Xoshiro256PP
+from nerdct.volume import SLICE_AXES
 
 
 def test_psnr_hand_computed():
@@ -118,3 +119,46 @@ def test_evaluate_identical_volumes_serializes_inf():
 def test_evaluate_volume_shape_mismatch():
     with pytest.raises(ValueError):
         evaluate_volume(np.zeros((12, 12, 12)), np.zeros((12, 12, 13)))
+
+
+@pytest.mark.parametrize("shape", [(12, 13, 15), (16, 64, 64)])
+def test_evaluate_volume_matches_per_slice_reference(shape):
+    rng = Xoshiro256PP(7)
+    ref = rng.normal_array(shape) * 0.1 + 0.5
+    cand = ref + rng.normal_array(shape) * 0.03
+    report = evaluate_volume(cand, ref, data_range=1.5)
+    for axis, count in zip(SLICE_AXES, shape):
+        pairs = [(get_slice(cand, axis, i), get_slice(ref, axis, i))
+                 for i in range(count)]
+        psnr_values = [psnr(a, b, 1.5) for a, b in pairs]
+        ssim_values = [naive_ssim(a, b, 1.5) for a, b in pairs]
+        stats = report.views[axis]
+        assert stats.n_slices == count
+        assert stats.psnr_mean == float(np.mean(psnr_values))
+        assert stats.psnr_std == float(np.std(psnr_values))
+        assert abs(stats.ssim_mean - np.mean(ssim_values)) <= 1e-12
+        assert abs(stats.ssim_std - np.std(ssim_values)) <= 1e-12
+        for (a, b), expected in zip(pairs[:3], ssim_values):
+            assert abs(ssim_2d(a, b, 1.5) - expected) <= 1e-12
+
+
+def test_evaluate_volume_calls_the_module_psnr(monkeypatch):
+    # Tracing wraps `nerdct.metrics.psnr`; every slice must go through it.
+    calls = []
+    real = metrics.psnr
+
+    def counting(a, b, data_range=1.0):
+        calls.append(a.shape)
+        return real(a, b, data_range)
+
+    monkeypatch.setattr(metrics, "psnr", counting)
+    vol = Xoshiro256PP(8).normal_array((12, 13, 15))
+    evaluate_volume(vol + 0.1, vol)
+    assert len(calls) == 12 + 13 + 15
+
+
+@pytest.mark.parametrize("shape", [(12, 13, 10), (5, 20, 20)])
+def test_evaluate_volume_rejects_slices_smaller_than_window(shape):
+    vol = np.zeros(shape)
+    with pytest.raises(ValueError, match="window"):
+        evaluate_volume(vol, vol)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nerdct import (
     CTOperator,
@@ -213,3 +215,21 @@ def test_sinogram_io_size_mismatch(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_sinogram(str(path))
+
+
+@given(nx=st.integers(4, 24), nz=st.integers(1, 5),
+       n_angles_full=st.integers(1, 40), data=st.data(),
+       detector_spacing=st.floats(0.25, 4.0), seed=st.integers(0, 2**32))
+def test_adjoint_identity_random_geometries(nx, nz, n_angles_full, data,
+                                            detector_spacing, seed):
+    views = data.draw(st.lists(st.integers(0, n_angles_full - 1), min_size=1,
+                               unique=True), label="views")
+    geom = default_geometry(nx, n_angles_full, detector_spacing)
+    op = CTOperator(nx, nx, nz, geom, views)
+    rng = Xoshiro256PP(seed)
+    v = rng.normal_array((nz, nx, nx))
+    s = rng.normal_array(op.sinogram_shape)
+    av = op.forward(v)
+    lhs = dot(av, s)
+    rhs = dot(v, op.adjoint(s))
+    assert abs(lhs - rhs) <= 1e-12 * math.sqrt(dot(av, av) * dot(s, s))

@@ -1,9 +1,13 @@
-"""Golden-vector and statistical tests for the deterministic PRNG stack."""
+"""Golden-vector, oracle and statistical tests for the deterministic PRNG stack."""
 
 import math
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nerdct import rng as rng_module
 from nerdct.rng import Xoshiro256PP, splitmix64_stream
 
 # First five splitmix64 outputs for seeds 0 and 42, frozen from an
@@ -152,3 +156,90 @@ def test_distinct_seeds_distinct_streams():
     a = Xoshiro256PP(0).raw(4)
     b = Xoshiro256PP(1).raw(4)
     assert list(a) != list(b)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def scalar_words(state, count):
+    """Oracle: `count` xoshiro256++ words from `state`, one at a time.
+
+    Returns the words as Python ints and the state after them.
+    """
+    s0, s1, s2, s3 = state
+    out = [0] * count
+    for i in range(count):
+        x = (s0 + s3) & _MASK64
+        out[i] = (((x << 23) & _MASK64 | (x >> 41)) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
+    return out, (s0, s1, s2, s3)
+
+
+def test_oracle_matches_golden():
+    for seed, expected in XOSHIRO_GOLDEN.items():
+        words, _ = scalar_words(tuple(splitmix64_stream(seed, 4)), 8)
+        assert tuple(words) == expected
+
+
+@pytest.mark.parametrize("count", [2**17, 2**17 + 1, 200_003])
+def test_lane_words_match_oracle_on_large_draws(count):
+    # 256 full lanes of 512 words; one word more moves to 129 lanes of
+    # 1024, the last one word long; 196 lanes of 1024.
+    rng = Xoshiro256PP(2**63 + 5)
+    words, state = scalar_words(rng._s, count)
+    assert rng.raw(count) == words
+    assert rng._s == state
+
+
+_PRIMES = (2, 3, 5, 7, 31, 97, 257, 4099, 65521)
+_DRAW_SIZES = st.one_of(
+    st.sampled_from((0, 1, 4096, 11648, 65536) + _PRIMES),
+    st.integers(0, 3000).map(lambda n: 2 * n + 1),
+)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**64 - 1),
+       sizes=st.lists(_DRAW_SIZES, min_size=1, max_size=4))
+@example(seed=0, sizes=[4096, 11648, 65536])
+@example(seed=2**64 - 1, sizes=[65521, 0, 1, 4099, 65536, 2])
+@example(seed=42, sizes=[3, 257, 11648, 97])
+def test_lane_words_match_oracle(seed, sizes):
+    rng = Xoshiro256PP(seed)
+    state = rng._s
+    for count in sizes:
+        words, state = scalar_words(state, count)
+        assert rng.raw(count) == words
+        assert rng._s == state
+
+
+def test_jump_cache_stays_small():
+    Xoshiro256PP(1).raw(2**20)
+    cached = rng_module._jump.cache_info().currsize
+    assert cached >= 20
+    assert sum(rng_module._jump(k).nbytes for k in range(cached)) <= 256 * 1024
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.raw(-1),
+    lambda rng: rng.uniforms(-1),
+    lambda rng: rng.normals(-1),
+    lambda rng: rng.normals(-3),
+    lambda rng: rng.normal_array((-1,)),
+    lambda rng: rng.normal_array((2, -3)),
+    lambda rng: rng.normal_array((-2, -3)),
+    lambda rng: rng.integers(0, 5, -1),
+], ids=["raw", "uniforms", "normals-1", "normals-3", "normal_array",
+        "normal_array-2d", "normal_array-two-negative", "integers"])
+def test_negative_counts_raise(draw):
+    rng = Xoshiro256PP(8)
+    state = rng._s
+    with pytest.raises(ValueError, match=">= 0"):
+        draw(rng)
+    assert rng._s == state
