@@ -140,17 +140,23 @@ def _json_float(value):
 
 
 def _stats(values):
+    """(mean, std); any +inf slice makes both inf, unless all are (std 0.0)."""
     values = np.asarray(values, dtype=np.float64)
-    if np.all(np.isinf(values)):
+    infinite = np.isinf(values)
+    if np.all(infinite):
         return math.inf, 0.0
+    if np.any(infinite):
+        return math.inf, math.inf
     return float(np.mean(values)), float(np.std(values))
 
 
 def evaluate_volume(candidate, reference, data_range=1.0, seed=None, config=None):
     """Per-slice PSNR/SSIM along axial, coronal, sagittal axes.
 
-    Every slice of each view is scored and aggregated as mean/std.  A
-    perfect reconstruction yields +inf PSNR (std reported as 0).
+    Every slice of each view is scored and aggregated as mean/std.  A slice
+    identical to the reference scores +inf PSNR: a view whose slices all
+    do reports mean +inf and std 0.0, and a view with only some reports
+    mean +inf and std +inf (the spread is unbounded, not undefined).
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)

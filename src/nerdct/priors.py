@@ -9,6 +9,9 @@ import abc
 
 import numpy as np
 
+#: Voxels per tile of the GMM pass: its (K, tile) scratch stays in L2.
+_TILE = 8192
+
 
 class DenoiserPrior(abc.ABC):
     """Posterior-mean denoiser with a matching input VJP."""
@@ -75,55 +78,68 @@ class GmmScalarPrior(DenoiserPrior):
         self.means = means
         self.stds = stds
 
-    def _moments(self, x_t, t):
-        """Responsibilities, cond. means, x_t - sqrt(a) mu_k, sqrt(a) s_k^2, var_k.
+    def _tiled(self, x_t, t, with_deriv):
+        """Posterior mean and (if asked) its derivative, in tiles of `_TILE` voxels.
 
-        Component axis first, (K, *x_t.shape), so reductions over it are
-        elementwise across K contiguous blocks.
+        Each tile of a flat view works in (K, tile) scratch that stays in
+        cache.  All steps are elementwise or sums over components in order,
+        so the tile size cannot change a bit.
         """
         a = self.schedule.alpha_bar[t]
         sqrt_a = np.sqrt(a)
         noise_var = 1.0 - a
         x = np.asarray(x_t, dtype=np.float64)
-        per_k = (slice(None),) + (None,) * x.ndim
-        var_k = a * self.stds**2 + noise_var
-        log_norm = np.log(self.weights) - 0.5 * np.log(var_k)
-        var_k = var_k[per_k]
-        centred = x - (sqrt_a * self.means)[per_k]
-        # Non-finite inputs propagate as NaN responsibilities without
-        # warnings; callers validate their outputs.
+        flat = x.reshape(-1)
+        means, stds = self.means[:, None], self.stds[:, None]
+        var_k = a * stds**2 + noise_var
+        log_norm = np.log(self.weights)[:, None] - 0.5 * np.log(var_k)
+        shift_k, offset_k = sqrt_a * means, noise_var * means
+        gain_k = sqrt_a * stds**2
+        slope_k = gain_k / var_k
+        n_comp, n_vox = len(means), flat.size
+        tile = max(1, min(_TILE, n_vox))
+        buffers, row = np.empty((4, n_comp * tile)), np.empty(tile)
+        x0 = np.empty(x.shape)
+        deriv = np.empty(x.shape) if with_deriv else None
+        # Non-finite inputs propagate as NaN without warnings; callers
+        # validate their outputs.
         with np.errstate(invalid="ignore", over="ignore"):
-            resp = np.square(centred)
-            resp *= 0.5
-            resp /= var_k
-            np.subtract(log_norm[per_k], resp, out=resp)
-            resp -= resp.max(axis=0)
-            np.exp(resp, out=resp)
-            resp /= resp.sum(axis=0)
-        gain_k = (sqrt_a * self.stds**2)[per_k]
-        cond_mean = gain_k * x
-        cond_mean += (noise_var * self.means)[per_k]
-        cond_mean /= var_k
-        return resp, cond_mean, centred, gain_k, var_k
+            for lo in range(0, n_vox, tile):
+                hi = min(lo + tile, n_vox)
+                centred, resp, cond_mean, scratch = (
+                    b[:n_comp * (hi - lo)].reshape(n_comp, -1) for b in buffers)
+                per_voxel = row[:hi - lo]
+                np.subtract(flat[lo:hi], shift_k, out=centred)
+                np.square(centred, out=resp)
+                resp *= 0.5
+                resp /= var_k
+                np.subtract(log_norm, resp, out=resp)
+                resp -= np.max(resp, axis=0, out=per_voxel)
+                np.exp(resp, out=resp)
+                resp /= np.sum(resp, axis=0, out=per_voxel)
+                np.multiply(gain_k, flat[lo:hi], out=cond_mean)
+                cond_mean += offset_k
+                cond_mean /= var_k
+                np.multiply(resp, cond_mean, out=scratch)
+                np.sum(scratch, axis=0, out=x0.reshape(-1)[lo:hi])
+                if not with_deriv:
+                    continue
+                # sum_k resp * (c_k + (g_k - gbar) * cond_mean); g_k = -centred/var_k
+                log_grad = np.negative(centred, out=centred)
+                log_grad /= var_k
+                np.multiply(resp, log_grad, out=scratch)
+                log_grad -= np.sum(scratch, axis=0, out=per_voxel)
+                log_grad *= cond_mean
+                log_grad += slope_k
+                log_grad *= resp
+                np.sum(log_grad, axis=0, out=deriv.reshape(-1)[lo:hi])
+        return x0, deriv
 
     def denoise(self, x_t, t):
-        resp, cond_mean, _, _, _ = self._moments(x_t, t)
-        resp *= cond_mean
-        return resp.sum(axis=0)
+        return self._tiled(x_t, t, with_deriv=False)[0]
 
     def denoise_and_vjp(self, x_t, t):
-        resp, cond_mean, centred, gain_k, var_k = self._moments(x_t, t)
-        scratch = resp * cond_mean
-        x0 = scratch.sum(axis=0)
-        # sum_k resp * (c_k + (g_k - gbar) * cond_mean) in place; g_k = -centred/var_k
-        log_grad = np.negative(centred, out=centred)
-        log_grad /= var_k
-        np.multiply(resp, log_grad, out=scratch)
-        log_grad -= scratch.sum(axis=0)
-        log_grad *= cond_mean
-        log_grad += gain_k / var_k
-        log_grad *= resp
-        deriv = log_grad.sum(axis=0)
+        x0, deriv = self._tiled(x_t, t, with_deriv=True)
         return x0, lambda cotangent: cotangent * deriv
 
     def posterior_mean_derivative(self, x_t, t):

@@ -1,11 +1,12 @@
 """Gaussian-mixture scalar prior: posterior mean, limits, derivative."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from nerdct import DenoiserPrior, GmmScalarPrior, IdentityPrior, NoiseSchedule
+from nerdct import DenoiserPrior, GmmScalarPrior, IdentityPrior, NoiseSchedule, priors
 from nerdct.rng import Xoshiro256PP
 
 
@@ -224,3 +225,90 @@ def test_denoise_and_vjp_bit_identical(case, t):
     assert np.all(np.isfinite(x0)) and np.all(np.isfinite(grad))
     assert vars(prior).keys() == before.keys()
     assert all(vars(prior)[key] is value for key, value in before.items())
+
+
+BENCH_LIKE = ([0.55, 0.25, 0.15, 0.05], [0.0, 0.3, 0.6, 1.0], [0.04, 0.06, 0.1, 0.12])
+TILE = priors._TILE
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: stricter than array_equal, which lets -0.0 == 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def fused_outputs(prior, x, t, cot):
+    x0, vjp = prior.denoise_and_vjp(x, t)
+    return x0, vjp(cot), prior.denoise(x, t)
+
+
+@pytest.mark.parametrize("shape", [
+    (), (1,), (TILE - 1,), (TILE,), (TILE + 1,), (3 * TILE + 5,),
+    (16, 64, 64), "transposed",
+], ids=["0-d", "1", "tile-1", "tile", "tile+1", "3tile+5", "16x64x64", "transposed"])
+def test_tiled_matches_one_tile(shape, monkeypatch):
+    # Tiles of the default size, and of 7 voxels, give the bits of one
+    # tile holding the whole volume.
+    prior, _ = make_prior(*BENCH_LIKE)
+    if shape == "transposed":
+        x = (0.6 * Xoshiro256PP(12).normal_array((16, 64, 64)) + 0.3).transpose(2, 0, 1)
+        assert not x.flags.c_contiguous
+    else:
+        x = 0.6 * Xoshiro256PP(12).normal_array(shape) + 0.3
+    cot = Xoshiro256PP(13).normal_array(x.shape)
+    for t in (1, 500, 999):
+        tiled = fused_outputs(prior, x, t, cot)
+        monkeypatch.setattr(priors, "_TILE", 7)
+        small = fused_outputs(prior, x, t, cot)
+        monkeypatch.setattr(priors, "_TILE", max(x.size, 1))
+        whole = fused_outputs(prior, x, t, cot)
+        monkeypatch.setattr(priors, "_TILE", TILE)
+        assert tiled[0].shape == x.shape
+        for got, small_got, ref in zip(tiled, small, whole):
+            assert same_bits(got, ref) and same_bits(small_got, ref)
+
+
+def test_non_finite_inputs_propagate_without_warnings():
+    # NaN, +-inf and a square that overflows, placed on both sides of a tile
+    # border, give NaN at their own voxels only.
+    prior, _ = make_prior(*BENCH_LIKE)
+    x = np.full(2 * TILE, 0.4)
+    bad = [0, TILE - 1, TILE, TILE + 1]
+    x[bad] = [np.nan, np.inf, -np.inf, 1e200]
+    for t in (1, 500, 999):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0, vjp = prior.denoise_and_vjp(x, t)
+            grad = vjp(np.ones_like(x))
+            alone = prior.denoise(x, t)
+        for out in (x0, grad, alone):
+            assert np.all(np.isnan(out[bad]))
+            assert np.isfinite(np.delete(out, bad)).all()
+
+
+def test_calls_leave_prior_attributes_unchanged():
+    prior, _ = make_prior(*BENCH_LIKE)
+    before = dict(vars(prior))
+    snapshot = {key: np.copy(value) for key, value in before.items()
+                if isinstance(value, np.ndarray)}
+    x = Xoshiro256PP(14).normal_array((3, TILE + 1))
+    prior.denoise(x, 500)
+    prior.denoise_and_vjp(x, 500)[1](x)
+    assert vars(prior).keys() == before.keys()
+    assert all(vars(prior)[key] is value for key, value in before.items())
+    assert all(np.array_equal(vars(prior)[key], value) for key, value in snapshot.items())
+
+
+def test_fused_call_allocation_peak():
+    # The outputs take 1 MB at 16x64x64; the tile scratch adds about 1 MB
+    # for four components, where full (K, N) temporaries took 9 MB.
+    prior, _ = make_prior(*BENCH_LIKE)
+    x = 0.6 * Xoshiro256PP(15).normal_array((16, 64, 64)) + 0.3
+    prior.denoise_and_vjp(x, 500)
+    tracemalloc.start()
+    try:
+        prior.denoise_and_vjp(x, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak

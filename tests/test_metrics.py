@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,3 +163,21 @@ def test_evaluate_volume_rejects_slices_smaller_than_window(shape):
     vol = np.zeros(shape)
     with pytest.raises(ValueError, match="window"):
         evaluate_volume(vol, vol)
+
+
+def test_evaluate_partly_identical_volume_reports_infinite_spread():
+    # Slices 0-2 of every axial view equal the reference, the rest do not:
+    # the mean is +inf and so is the spread, with no warning.
+    ref = Xoshiro256PP(6).normal_array((12, 12, 12)) * 0.1 + 0.5
+    cand = ref.copy()
+    cand[3:] += 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = evaluate_volume(cand, ref)
+    axial = report.views["axial"]
+    assert (axial.psnr_mean, axial.psnr_std) == (math.inf, math.inf)
+    for view in ("coronal", "sagittal"):
+        stats = report.views[view]
+        assert math.isfinite(stats.psnr_mean) and math.isfinite(stats.psnr_std)
+    payload = json.loads(json.dumps(report.to_dict()))
+    assert payload["views"]["axial"]["psnr_std"] == "inf"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nerdct import (
     AdamState,
@@ -148,6 +150,48 @@ def test_project_linf_ball_equals_clamp():
     inside = np.array([0.3, -0.9, 0.0])
     assert np.array_equal(project_linf_ball(inside), inside)
     assert np.array_equal(project_linf_ball(project_linf_ball(u)), project_linf_ball(u))
+
+
+def grid_argmin(objective, lo, hi, step):
+    """Brute-force minimiser of `objective` over a grid of [lo, hi] that holds 0."""
+    grid = np.arange(round(lo / step), round(hi / step) + 1) * step
+    values = objective(grid)
+    return grid[int(np.argmin(values))], values.min()
+
+
+_GRID_STEP = 1e-4
+
+
+@given(v=st.floats(-8.0, 8.0), kappa=st.floats(0.0, 4.0))
+@example(v=1.25, kappa=1.25)
+@example(v=-0.5, kappa=0.0)
+@example(v=0.0, kappa=2.0)
+def test_soft_threshold_matches_grid_minimiser(v, kappa):
+    # prox of kappa*|.| at v: argmin_x 0.5*(x - v)^2 + kappa*|x|, which lies
+    # in [-|v|, |v|].  The grid holds 0, where the minimiser often sits.
+    def objective(x):
+        return 0.5 * (x - v) ** 2 + kappa * np.abs(x)
+
+    best, best_value = grid_argmin(objective, -abs(v) - 1.0, abs(v) + 1.0, _GRID_STEP)
+    got = float(soft_threshold(np.array([v]), kappa)[0])
+    assert abs(got - best) <= _GRID_STEP
+    assert objective(got) <= best_value + 1e-12
+
+
+@given(u=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
+@example(u=[1.0, -1.0, 0.0])
+@example(u=[-20.0, 1.0 + 1e-12, 0.999])
+def test_project_linf_ball_matches_grid_minimiser(u):
+    # Projection onto the unit l-inf ball separates by coordinate:
+    # argmin_{|x| <= 1} 0.5*(x - u_i)^2 for each entry.
+    u = np.array(u)
+    proj = project_linf_ball(u)
+    assert np.max(np.abs(proj)) <= 1.0
+    for got, target in zip(proj, u):
+        best, best_value = grid_argmin(lambda x: 0.5 * (x - target) ** 2,
+                                       -1.0, 1.0, _GRID_STEP)
+        assert abs(got - best) <= _GRID_STEP
+        assert 0.5 * (got - target) ** 2 <= best_value + 1e-12
 
 
 # ------------------------------------------------- conjugate gradient

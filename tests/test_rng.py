@@ -219,6 +219,26 @@ def test_lane_words_match_oracle(seed, sizes):
         assert rng._s == state
 
 
+@pytest.mark.parametrize("sizes", [
+    [1, 1, 2, 2, 1],
+    [1, 4096, 2, 3, 1, 0, 2, 65537, 1],
+    [2, 257, 1, 1, 11648, 2],
+], ids=["tiny-only", "tiny-between-lanes", "tiny-after-lanes"])
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+def test_tiny_draws_match_oracle_between_lane_draws(seed, sizes):
+    # Draws of one or two words take the scalar path; lane draws before and
+    # after them must see the same stream and state.
+    rng = Xoshiro256PP(seed)
+    state = rng._s
+    for count in sizes:
+        words, state = scalar_words(state, count)
+        drawn = rng._words(count)
+        assert drawn.dtype == np.uint64 and drawn.shape == (count,)
+        assert drawn.tolist() == words
+        assert rng._s == state
+        assert all(type(word) is int for word in rng._s)
+
+
 def test_jump_cache_stays_small():
     Xoshiro256PP(1).raw(2**20)
     cached = rng_module._jump.cache_info().currsize
