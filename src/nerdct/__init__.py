@@ -10,7 +10,7 @@ from .convnet import (
     save_weights,
     train_denoiser,
 )
-from .metrics import Report, ViewStats, evaluate_volume, psnr, ssim_2d
+from .metrics import Report, ViewStats, evaluate_volume, psnr
 from .optim import (
     AdamState,
     CGResult,
@@ -37,9 +37,7 @@ from .samplers import (
     Sampler,
     SamplerConfig,
     SamplerError,
-    SamplerState,
     TraceRecord,
-    run_sampler,
     save_trace,
 )
 from .schedule import (
@@ -50,10 +48,8 @@ from .schedule import (
 )
 from .volume import (
     SLICE_AXES,
-    dot,
     dz_adjoint,
     dz_forward,
-    get_slice,
     l1_norm,
     l2_norm_sq,
     load_volume,

@@ -79,23 +79,6 @@ def _ssim_planes(candidate, reference, data_range):
     return np.mean(num / den, axis=(1, 2))
 
 
-def ssim_2d(candidate, reference, data_range=1.0):
-    """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5).
-
-    Windows are fully interior (valid correlation, no padding); slices
-    smaller than the window are rejected.
-    """
-    candidate = np.asarray(candidate, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if candidate.shape != reference.shape:
-        raise ValueError(
-            f"shape mismatch: {candidate.shape} vs {reference.shape}"
-        )
-    if candidate.ndim != 2:
-        raise ValueError(f"expected 2D slices, got shape {candidate.shape}")
-    return float(_ssim_planes(candidate[None], reference[None], data_range)[0])
-
-
 @dataclass
 class ViewStats:
     psnr_mean: float

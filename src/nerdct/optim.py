@@ -58,7 +58,7 @@ def adam_step(state, x, grad):
 
 def soft_threshold(v, kappa):
     """prox of kappa*|.|: sign(v) * max(|v| - kappa, 0)."""
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError(f"threshold must be >= 0, got {kappa}")
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 

@@ -6,7 +6,7 @@ the next index with fresh noise.  They differ in how the clean estimate is
 obtained:
 
 * sitcom: K Adam updates on ||A f(v) - y||^2 + lam ||v - x_t||^2 starting
-  from v = x_t, then f(v).
+  from v = x_t, then f(v).  It runs as nerd-a with rho = 0.
 * nerd-a: the same inner objective plus an ADMM penalty (rho/2) *
   ||Dz f(v) - z + w||^2 coupling a soft-thresholded auxiliary z to the
   slice-axis differences; z and the scaled dual w persist across steps.
@@ -24,8 +24,9 @@ seed consume identical noise realizations.
 """
 
 import logging
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,9 +70,14 @@ class SamplerConfig:
     def validate(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("lam", "lam_z", "rho", "lam_couple"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("lam", "lam_z", "rho", "lam_couple", "dds_gamma"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         for name in ("tau", "sigma", "lr", "dds_rho", "cg_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -80,8 +86,6 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dds_admm_iters < 0:
             raise ValueError(f"dds_admm_iters must be >= 0, got {self.dds_admm_iters}")
-        if self.dds_gamma is not None and self.dds_gamma < 0:
-            raise ValueError(f"dds_gamma must be >= 0, got {self.dds_gamma}")
         if self.pdhg_extrapolation not in ("literal", "classical"):
             raise ValueError(
                 f"pdhg_extrapolation must be 'literal' or 'classical', "
@@ -140,6 +144,14 @@ class Sampler:
         self.rng = Xoshiro256PP(config.seed)
         self.volume_shape = (operator.nz, operator.ny, operator.nx)
         self._aty2 = None
+        # sitcom is nerd-a with the ADMM split switched off.
+        self.rho = 0.0 if config.method == "sitcom" else config.rho
+        self._estimate = {
+            "sitcom": self._admm_estimate,
+            "nerd-a": self._admm_estimate,
+            "nerd-p": self._pdhg_estimate,
+            "dds": self._dds_estimate,
+        }[config.method]
 
     # ------------------------------------------------------------- state
 
@@ -147,12 +159,11 @@ class Sampler:
         """Draw x at the largest sampling index and set up method state."""
         x = self.rng.normal_array(self.volume_shape)
         state = SamplerState(x=x)
-        zeros = np.zeros(self.volume_shape)
         if self.config.method == "nerd-a":
-            state.z = zeros.copy()
-            state.w_dual = zeros.copy()
+            state.z = np.zeros(self.volume_shape)
+            state.w_dual = np.zeros(self.volume_shape)
         elif self.config.method == "nerd-p":
-            state.u = zeros.copy()
+            state.u = np.zeros(self.volume_shape)
             t_start = int(self.schedule.sampling_steps[0])
             state.w = self.prior.denoise(x, t_start)
             state.w_bar = state.w.copy()
@@ -176,14 +187,13 @@ class Sampler:
                 f"non-finite inner objective ({loss}) in {what} at t={t}"
             )
 
-    def _optimize_input(self, x_t, t, z=None, w_dual=None):
+    def _optimize_input(self, x_t, t, z, w_dual):
         """K Adam updates on the input-domain objective, from v = x_t.
 
-        Objective: ||A f(v) - y||^2 + lam ||v - x_t||^2 and, when an ADMM
-        pair is given and rho > 0, + (rho/2) ||Dz f(v) - z + w||^2.
+        Objective: ||A f(v) - y||^2 + lam ||v - x_t||^2 and, when rho > 0,
+        + (rho/2) ||Dz f(v) - z + w||^2.
         """
         cfg = self.config
-        with_penalty = z is not None and cfg.rho != 0.0
         v = x_t.copy()
         adam = AdamState(lr=cfg.lr)
         losses = []
@@ -192,10 +202,10 @@ class Sampler:
             resid = self.op.forward(x0) - self.y
             loss = l2_norm_sq(resid)
             cot = 2.0 * self.op.adjoint(resid)
-            if with_penalty:
+            if self.rho != 0.0:
                 gap = dz_forward(x0) - z + w_dual
-                loss += 0.5 * cfg.rho * l2_norm_sq(gap)
-                cot += cfg.rho * dz_adjoint(gap)
+                loss += 0.5 * self.rho * l2_norm_sq(gap)
+                cot += self.rho * dz_adjoint(gap)
             grad = vjp(cot)
             del vjp  # free its buffers before the next pass allocates new ones
             if cfg.lam != 0.0:
@@ -215,15 +225,15 @@ class Sampler:
 
         def apply_op(v):
             out = 2.0 * self.op.adjoint(self.op.forward(v))
-            if cfg.rho != 0.0:
-                out += cfg.rho * dz_adjoint(dz_forward(v))
+            if self.rho != 0.0:
+                out += self.rho * dz_adjoint(dz_forward(v))
             if cfg.lam != 0.0:
                 out += 2.0 * cfg.lam * v
             return out
 
         rhs = 2.0 * self.op.adjoint(self.y)
-        if cfg.rho != 0.0:
-            rhs += cfg.rho * dz_adjoint(z - w_dual)
+        if self.rho != 0.0:
+            rhs += self.rho * dz_adjoint(z - w_dual)
         if cfg.lam != 0.0:
             rhs += 2.0 * cfg.lam * x_t
         result = cg_solve(apply_op, rhs, tol=_EXACT_TOL, max_iter=_EXACT_MAX_ITER,
@@ -294,45 +304,29 @@ class Sampler:
 
     # ------------------------------------------------------------- steps
 
-    def sitcom_step(self, state, t, t_next, resample=True):
-        """Anchored data-consistency step: optimize, denoise, resample."""
-        v, losses = self._optimize_input(state.x, t)
-        state.inner_losses = losses
-        state.x0 = self.prior.denoise(v, t)
-        if resample:
-            state.x = self._resample(state.x0, t_next)
-        return state.x0
-
-    def nerd_a_step(self, state, t, t_next, resample=True, inner="adam"):
-        """ADMM-regularized step.
+    def _admm_estimate(self, state, t, exact):
+        """nerd-a, and sitcom as nerd-a with rho = 0.
 
         1. optimize v with the rho-penalty against (z, w);
         2. x0 = f(v);
         3. z <- soft_threshold(Dz x0 + w, lam_z / rho);
-        4. w <- w + Dz x0 - z;
-        5. resample.  With rho = 0 steps 3-4 are skipped and the update
-        reduces exactly to sitcom.
+        4. w <- w + Dz x0 - z.
+        With rho = 0 the penalty and steps 3-4 drop out, which is sitcom.
         """
-        cfg = self.config
-        if inner == "adam":
-            v, losses = self._optimize_input(state.x, t, state.z, state.w_dual)
-            state.inner_losses = losses
-        elif inner == "exact":
+        if exact:
             v = self._solve_input_exact(state.x, t, state.z, state.w_dual)
         else:
-            raise ValueError(f"unknown inner solver {inner!r}")
+            v, state.inner_losses = self._optimize_input(state.x, t, state.z,
+                                                         state.w_dual)
         x0 = self.prior.denoise(v, t)
-        if cfg.rho != 0.0:
+        if self.rho != 0.0:
             dz_x0 = dz_forward(x0)
-            state.z = soft_threshold(dz_x0 + state.w_dual, cfg.lam_z / cfg.rho)
+            state.z = soft_threshold(dz_x0 + state.w_dual, self.config.lam_z / self.rho)
             state.w_dual = state.w_dual + dz_x0 - state.z
-        state.x0 = x0
-        if resample:
-            state.x = self._resample(x0, t_next)
         return x0
 
-    def nerd_p_step(self, state, t, t_next, resample=True, inner="adam"):
-        """Primal-dual step with the coupling operator lam_z * Dz.
+    def _pdhg_estimate(self, state, t, exact):
+        """nerd-p: primal-dual step with the coupling operator lam_z * Dz.
 
         literal extrapolation re-bases w_bar on the current w before the
         primal update ("w_bar <- w_t"); classical keeps the extrapolated
@@ -340,18 +334,12 @@ class Sampler:
         w_bar = 2 w_new - w_old afterwards for the dual ascent.
         """
         cfg = self.config
-        if cfg.pdhg_extrapolation == "literal":
-            base = state.w
-        else:
-            base = state.w_bar
+        base = state.w if cfg.pdhg_extrapolation == "literal" else state.w_bar
         w_hat = base - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
-        if inner == "adam":
-            v, w_new, losses = self._optimize_joint(state.x, t, w_hat)
-            state.inner_losses = losses
-        elif inner == "exact":
+        if exact:
             v, w_new = self._solve_joint_exact(state.x, t, w_hat)
         else:
-            raise ValueError(f"unknown inner solver {inner!r}")
+            v, w_new, state.inner_losses = self._optimize_joint(state.x, t, w_hat)
         state.w_bar = 2.0 * w_new - state.w
         state.u = project_linf_ball(
             state.u + cfg.sigma * cfg.lam_z * dz_forward(state.w_bar)
@@ -359,38 +347,29 @@ class Sampler:
         if not np.max(np.abs(state.u)) <= 1.0:
             raise SamplerError("dual left the unit l-inf ball")
         state.w = w_new
-        state.x0 = self.prior.denoise(v, t)
-        if resample:
-            state.x = self._resample(state.x0, t_next)
-        return state.x0
+        return self.prior.denoise(v, t)
 
-    def dds_step(self, state, t, t_next, resample=True):
-        """Denoise, then ADMM data-consistency on the clean estimate."""
-        x0 = self.prior.denoise(state.x, t)
-        if self.config.dds_admm_iters > 0:
-            x0 = self._dds_admm(x0)
-        state.x0 = x0
-        if resample:
-            state.x = self._resample(x0, t_next)
-        return x0
+    def _dds_estimate(self, state, t, exact):
+        """dds: denoise, then ADMM on ||A x - y||^2 + gamma ||Dz x||_1.
 
-    def _dds_admm(self, x):
-        """ADMM iterations on ||A x - y||^2 + gamma ||Dz x||_1 from x."""
+        Each ADMM iteration's x-update is a CG solve started from the
+        previous x.  There is no inner optimizer, so `exact` is unused.
+        """
         cfg = self.config
+        x = self.prior.denoise(state.x, t)
         gamma = cfg.lam_z if cfg.dds_gamma is None else cfg.dds_gamma
         rho = cfg.dds_rho
         if self._aty2 is None:
             self._aty2 = 2.0 * self.op.adjoint(self.y)
 
         def apply_op(v):
-            return 2.0 * self.op.adjoint(self.op.forward(v)) + rho * dz_adjoint(
-                dz_forward(v)
-            )
+            return (2.0 * self.op.adjoint(self.op.forward(v))
+                    + rho * dz_adjoint(dz_forward(v)))
 
         z = np.zeros_like(x)
         w = np.zeros_like(x)
         residuals = []  # relative residuals of the solves that did not converge
-        for it in range(cfg.dds_admm_iters):
+        for _ in range(cfg.dds_admm_iters):
             rhs = self._aty2 + rho * dz_adjoint(z - w)
             result = cg_solve(apply_op, rhs, tol=cfg.cg_tol,
                               max_iter=cfg.cg_max_iter, x0=x)
@@ -408,15 +387,21 @@ class Sampler:
                            cfg.dds_admm_iters, max(residuals))
         return x
 
-    def step(self, state, t, t_next, resample=True):
-        method = self.config.method
-        if method == "sitcom":
-            return self.sitcom_step(state, t, t_next, resample)
-        if method == "nerd-a":
-            return self.nerd_a_step(state, t, t_next, resample)
-        if method == "nerd-p":
-            return self.nerd_p_step(state, t, t_next, resample)
-        return self.dds_step(state, t, t_next, resample)
+    def step(self, state, t, t_next, resample=True, inner="adam"):
+        """Clean estimate at t by the method's estimator, then resample to t_next.
+
+        inner="exact" swaps the Adam inner loop for an exact CG solve of the
+        quadratic it minimizes, which needs a linear prior.
+        """
+        if inner not in ("adam", "exact"):
+            raise ValueError(f"unknown inner solver {inner!r}")
+        state.x0 = self._estimate(state, t, inner == "exact")
+        if resample:
+            state.x = self._resample(state.x0, t_next)
+        return state.x0
+
+    # The per-method names the acceptance suite calls.
+    nerd_a_step = nerd_p_step = step
 
     # --------------------------------------------------------------- run
 
@@ -448,12 +433,6 @@ class Sampler:
                 )
             )
         return state.x0, traces
-
-
-def run_sampler(config, operator, y, prior, schedule, ground_truth=None):
-    """Convenience wrapper building a Sampler and running it."""
-    sampler = Sampler(config, operator, y, prior, schedule, ground_truth)
-    return sampler.run()
 
 
 def save_trace(path, traces):

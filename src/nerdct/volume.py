@@ -1,4 +1,4 @@
-"""Dense 3D volumes, slice views, and the slice-axis difference operator.
+"""Dense 3D volumes, slice-axis names, and the slice-axis difference operator.
 
 A volume is a C-contiguous float64 array of shape (nz, ny, nx): z is the
 slowest axis, so ``vol[k]`` is the k-th axial slice.  Files on disk are the
@@ -46,16 +46,6 @@ def dz_adjoint(grad):
     return out
 
 
-def _check_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def dot(a, b):
-    _check_same_shape(a, b)
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def l2_norm_sq(a):
     # An overflowing sum is inf, which callers check; no RuntimeWarning.
     with np.errstate(over="ignore"):
@@ -64,26 +54,6 @@ def l2_norm_sq(a):
 
 def l1_norm(a):
     return float(np.sum(np.abs(a)))
-
-
-def get_slice(vol, axis, index):
-    """2D view of the plane `index` along the named axis."""
-    nz, ny, nx = vol.shape
-    if axis == "axial":
-        limit = nz
-    elif axis == "coronal":
-        limit = ny
-    elif axis == "sagittal":
-        limit = nx
-    else:
-        raise ValueError(f"axis must be one of {SLICE_AXES}, got {axis!r}")
-    if not 0 <= index < limit:
-        raise IndexError(f"{axis} index {index} out of range [0, {limit})")
-    if axis == "axial":
-        return vol[index, :, :]
-    if axis == "coronal":
-        return vol[:, index, :]
-    return vol[:, :, index]
 
 
 def save_volume(path, vol, provenance=None):

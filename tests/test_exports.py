@@ -1,0 +1,42 @@
+"""Every public export of the package has a caller outside its own tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nerdct"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def used_names(path):
+    """Names a file reads: bare, imported by name, or as `<package module>.name`.
+
+    Comments, strings and other objects' attributes (`np.dot`) do not count,
+    and neither does a name's own `def` or `class`.
+    """
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in MODULES):
+            used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_outside_its_own_tests():
+    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    callers += sorted((ROOT / "benchmarks").glob("*.py"))
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*(used_names(p) for p in callers))
+    unused = sorted(exported_names() - used)
+    assert not unused, f"exported but used only by their own tests: {unused}"

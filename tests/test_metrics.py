@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from nerdct import evaluate_volume, get_slice, metrics, psnr, ssim_2d
+from nerdct import evaluate_volume, metrics, psnr
 from nerdct.metrics import SSIM_SIGMA, SSIM_WINDOW
 from nerdct.rng import Xoshiro256PP
 from nerdct.volume import SLICE_AXES
@@ -59,30 +59,28 @@ def naive_ssim(a, b, data_range=1.0):
 
 
 def test_ssim_identical_is_one():
-    x = Xoshiro256PP(2).normal_array((16, 16))
-    assert abs(ssim_2d(x, x) - 1.0) < 1e-12
-
-
-def test_ssim_matches_independent_implementation():
-    rng = Xoshiro256PP(3)
-    for _ in range(5):
-        a = rng.normal_array((20, 24)) * 0.2 + 0.5
-        b = a + rng.normal_array((20, 24)) * 0.05
-        assert abs(ssim_2d(a, b) - naive_ssim(a, b)) <= 1e-10
+    x = Xoshiro256PP(2).normal_array((12, 16, 16))
+    report = evaluate_volume(x, x)
+    for stats in report.views.values():
+        assert abs(stats.ssim_mean - 1.0) < 1e-12
 
 
 def test_ssim_degrades_with_noise():
     rng = Xoshiro256PP(4)
-    a = rng.normal_array((24, 24)) * 0.1 + 0.5
-    weak = a + rng.normal_array((24, 24)) * 0.01
-    strong = a + rng.normal_array((24, 24)) * 0.2
-    assert ssim_2d(a, weak) > ssim_2d(a, strong)
+    a = rng.normal_array((12, 24, 24)) * 0.1 + 0.5
+    weak = a + rng.normal_array((12, 24, 24)) * 0.01
+    strong = a + rng.normal_array((12, 24, 24)) * 0.2
+    weak_views = evaluate_volume(weak, a).views
+    strong_views = evaluate_volume(strong, a).views
+    for axis in SLICE_AXES:
+        assert weak_views[axis].ssim_mean > strong_views[axis].ssim_mean
 
 
 def test_ssim_rejects_small_slices():
-    small = np.zeros((SSIM_WINDOW - 1, SSIM_WINDOW))
-    with pytest.raises(ValueError):
-        ssim_2d(small, small)
+    # Axial slices one row short of the window, the other views wide enough.
+    small = np.zeros((SSIM_WINDOW, SSIM_WINDOW - 1, SSIM_WINDOW))
+    with pytest.raises(ValueError, match="window"):
+        evaluate_volume(small, small)
 
 
 def test_evaluate_volume_aggregation():
@@ -128,8 +126,8 @@ def test_evaluate_volume_matches_per_slice_reference(shape):
     ref = rng.normal_array(shape) * 0.1 + 0.5
     cand = ref + rng.normal_array(shape) * 0.03
     report = evaluate_volume(cand, ref, data_range=1.5)
-    for axis, count in zip(SLICE_AXES, shape):
-        pairs = [(get_slice(cand, axis, i), get_slice(ref, axis, i))
+    for normal, (axis, count) in enumerate(zip(SLICE_AXES, shape)):
+        pairs = [(np.take(cand, i, axis=normal), np.take(ref, i, axis=normal))
                  for i in range(count)]
         psnr_values = [psnr(a, b, 1.5) for a, b in pairs]
         ssim_values = [naive_ssim(a, b, 1.5) for a, b in pairs]
@@ -139,8 +137,6 @@ def test_evaluate_volume_matches_per_slice_reference(shape):
         assert stats.psnr_std == float(np.std(psnr_values))
         assert abs(stats.ssim_mean - np.mean(ssim_values)) <= 1e-12
         assert abs(stats.ssim_std - np.std(ssim_values)) <= 1e-12
-        for (a, b), expected in zip(pairs[:3], ssim_values):
-            assert abs(ssim_2d(a, b, 1.5) - expected) <= 1e-12
 
 
 def test_evaluate_volume_calls_the_module_psnr(monkeypatch):

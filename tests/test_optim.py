@@ -124,6 +124,9 @@ def test_soft_threshold_closed_form():
     assert np.array_equal(soft_threshold(v, 0.0), v)
     with pytest.raises(ValueError):
         soft_threshold(v, -0.1)
+    # A NaN threshold would turn every output into NaN.
+    with pytest.raises(ValueError):
+        soft_threshold(v, float("nan"))
 
 
 def test_soft_threshold_is_prox_via_grid():

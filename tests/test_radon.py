@@ -12,7 +12,6 @@ from nerdct import (
     ProjectionGeometry,
     add_gaussian_noise,
     default_geometry,
-    dot,
     load_sinogram,
     save_sinogram,
     uniform_view_indices,
@@ -56,9 +55,10 @@ def test_adjoint_dot_product_identity():
         v = rng.normal_array((4, 20, 20))
         s = rng.normal_array(op.sinogram_shape)
         av = op.forward(v)
-        lhs = dot(av, s)
-        rhs = dot(v, op.adjoint(s))
-        bound = 1e-10 * math.sqrt(dot(av, av)) * math.sqrt(dot(s, s))
+        lhs = float(np.vdot(av, s))
+        rhs = float(np.vdot(v, op.adjoint(s)))
+        bound = 1e-10 * math.sqrt(float(np.vdot(av, av))) * math.sqrt(
+            float(np.vdot(s, s)))
         assert abs(lhs - rhs) <= max(bound, 1e-12)
 
 
@@ -230,6 +230,7 @@ def test_adjoint_identity_random_geometries(nx, nz, n_angles_full, data,
     v = rng.normal_array((nz, nx, nx))
     s = rng.normal_array(op.sinogram_shape)
     av = op.forward(v)
-    lhs = dot(av, s)
-    rhs = dot(v, op.adjoint(s))
-    assert abs(lhs - rhs) <= 1e-12 * math.sqrt(dot(av, av) * dot(s, s))
+    lhs = float(np.vdot(av, s))
+    rhs = float(np.vdot(v, op.adjoint(s)))
+    bound = 1e-12 * math.sqrt(float(np.vdot(av, av)) * float(np.vdot(s, s)))
+    assert abs(lhs - rhs) <= bound

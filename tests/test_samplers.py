@@ -17,7 +17,6 @@ from nerdct import (
     default_geometry,
     dz_forward,
     l1_norm,
-    run_sampler,
     save_trace,
     shepp_logan_3d,
     soft_threshold,
@@ -83,8 +82,9 @@ def test_rerun_bit_identical():
     op, phantom, y = small_problem(noise=0.05)
     for method in ("sitcom", "nerd-a", "nerd-p", "dds"):
         cfg = config(method, seed=7)
-        x1, tr1 = run_sampler(cfg, op, y, gmm_prior(), SCHED, phantom)
-        x2, tr2 = run_sampler(config(method, seed=7), op, y, gmm_prior(), SCHED, phantom)
+        x1, tr1 = Sampler(cfg, op, y, gmm_prior(), SCHED, phantom).run()
+        x2, tr2 = Sampler(config(method, seed=7), op, y, gmm_prior(), SCHED,
+                          phantom).run()
         assert np.array_equal(x1, x2), method
         for a, b in zip(tr1, tr2):
             assert (a.data_residual, a.tv_z, a.psnr) == (b.data_residual, b.tv_z, b.psnr)
@@ -93,7 +93,7 @@ def test_rerun_bit_identical():
 def test_single_step_single_trace():
     op, _, y = small_problem()
     cfg = config("nerd-p", n_steps=1)
-    _, traces = run_sampler(cfg, op, y, gmm_prior(), SCHED)
+    _, traces = Sampler(cfg, op, y, gmm_prior(), SCHED).run()
     assert len(traces) == 1
     assert traces[0].step == 1
     assert traces[0].t_index == 1000
@@ -101,7 +101,7 @@ def test_single_step_single_trace():
 
 def test_trace_without_ground_truth_has_nan_psnr():
     op, _, y = small_problem()
-    _, traces = run_sampler(config("dds"), op, y, gmm_prior(), SCHED)
+    _, traces = Sampler(config("dds"), op, y, gmm_prior(), SCHED).run()
     assert all(np.isnan(rec.psnr) for rec in traces)
     assert all(np.isfinite(rec.data_residual) for rec in traces)
     assert all(np.isfinite(rec.tv_z) for rec in traces)
@@ -131,11 +131,17 @@ def test_config_validation():
         SamplerConfig(n_steps=0).validate()
     with pytest.raises(ValueError):
         SamplerConfig(pdhg_extrapolation="fancy").validate()
+    # Non-finite floats: NaN slips past `x < 0`, inf past `not x > 0`.
+    for name in ("lam", "lam_z", "rho", "lam_couple", "tau", "sigma", "lr",
+                 "dds_gamma", "dds_rho", "cg_tol"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                SamplerConfig(**{name: bad}).validate()
 
 
 def test_save_trace_format(tmp_path):
     op, phantom, y = small_problem()
-    _, traces = run_sampler(config("nerd-p"), op, y, gmm_prior(), SCHED, phantom)
+    _, traces = Sampler(config("nerd-p"), op, y, gmm_prior(), SCHED, phantom).run()
     path = tmp_path / "trace.csv"
     save_trace(str(path), traces)
     lines = path.read_text().strip().split("\n")
@@ -147,7 +153,29 @@ def test_save_trace_format(tmp_path):
     assert float(first[2]) == traces[0].data_residual
 
 
+@pytest.mark.parametrize("method", ["sitcom", "nerd-a", "nerd-p", "dds"])
+def test_step_rejects_unknown_inner_solver(method):
+    op, _, y = small_problem()
+    sampler = Sampler(config(method), op, y, gmm_prior(), SCHED)
+    state = sampler.initialize()
+    with pytest.raises(ValueError, match="bogus"):
+        sampler.step(state, 1000, 500, inner="bogus")
+
+
 # ------------------------------------------------------------- sitcom
+
+def test_sitcom_ignores_admm_settings():
+    # sitcom runs the nerd-a estimator with rho = 0, whatever rho and lam_z say.
+    op, phantom, y = small_problem(noise=0.05)
+    x_d, tr_d = Sampler(config("sitcom", seed=4), op, y, gmm_prior(), SCHED,
+                        phantom).run()
+    x_s, tr_s = Sampler(config("sitcom", seed=4, rho=5.0, lam_z=0.3), op, y,
+                        gmm_prior(), SCHED, phantom).run()
+    assert x_d.tobytes() == x_s.tobytes()
+    for a, b in zip(tr_d, tr_s):
+        assert (a.step, a.t_index, a.data_residual, a.tv_z, a.psnr) == (
+            b.step, b.t_index, b.data_residual, b.tv_z, b.psnr)
+
 
 def test_sitcom_huge_anchor_freezes_input():
     # lam >> data term: v cannot move from x_t, so x0 ~= f(x_t).
@@ -157,7 +185,7 @@ def test_sitcom_huge_anchor_freezes_input():
     state = sampler.initialize()
     x_t = state.x.copy()
     t = int(SCHED.sampling_steps[0])
-    sampler.sitcom_step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
     expected = sampler.prior.denoise(x_t, t)
     rel = np.linalg.norm(state.x0 - expected) / np.linalg.norm(expected)
     assert rel <= 1e-3
@@ -172,7 +200,7 @@ def test_inner_loss_windowed_non_increase():
     steps = SCHED.sampling_steps
     for i, t in enumerate(steps):
         t_next = int(steps[i + 1]) if i + 1 < len(steps) else 0
-        sampler.sitcom_step(state, int(t), t_next)
+        sampler.step(state, int(t), t_next)
         losses = state.inner_losses
         first = np.mean(losses[: len(losses) // 2])
         second = np.mean(losses[len(losses) // 2 :])
@@ -183,10 +211,11 @@ def test_inner_loss_windowed_non_increase():
 
 def test_nerd_a_rho_zero_bit_identical_to_sitcom():
     op, phantom, y = small_problem(noise=0.05)
-    x_s, tr_s = run_sampler(config("sitcom", seed=11), op, y, gmm_prior(), SCHED, phantom)
-    x_a, tr_a = run_sampler(
+    x_s, tr_s = Sampler(config("sitcom", seed=11), op, y, gmm_prior(), SCHED,
+                        phantom).run()
+    x_a, tr_a = Sampler(
         config("nerd-a", seed=11, rho=0.0, lam_z=0.0), op, y, gmm_prior(), SCHED, phantom
-    )
+    ).run()
     assert np.array_equal(x_s, x_a)
     for a, b in zip(tr_s, tr_a):
         assert a.data_residual == b.data_residual
@@ -201,7 +230,7 @@ def test_nerd_a_z_update_is_prox_grid_oracle():
     state = sampler.initialize()
     w_before = state.w_dual.copy()
     t = int(SCHED.sampling_steps[0])
-    x0 = sampler.nerd_a_step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
     target = dz_forward(x0) + w_before
     # z minimizes lam_z*|z| + rho/2*(z - target)^2 per coordinate.
     rng = Xoshiro256PP(12)
@@ -224,9 +253,9 @@ def test_nerd_a_state_persists_across_steps():
     state = sampler.initialize()
     assert np.all(state.z == 0.0) and np.all(state.w_dual == 0.0)
     steps = SCHED.sampling_steps
-    sampler.nerd_a_step(state, int(steps[0]), int(steps[1]))
+    sampler.step(state, int(steps[0]), int(steps[1]))
     z_after_first = state.z.copy()
-    sampler.nerd_a_step(state, int(steps[1]), int(steps[2]))
+    sampler.step(state, int(steps[1]), int(steps[2]))
     # Second step reuses, not resets: the dual cannot be the first-step
     # value recomputed from scratch unless the constraint is exactly met.
     assert not np.array_equal(state.z, z_after_first) or np.all(state.z == 0.0)
@@ -243,7 +272,7 @@ def test_nerd_p_dual_feasible_every_step():
     saw_active_dual = False
     for i, t in enumerate(steps):
         t_next = int(steps[i + 1]) if i + 1 < len(steps) else 0
-        sampler.nerd_p_step(state, int(t), t_next)
+        sampler.step(state, int(t), t_next)
         assert np.max(np.abs(state.u)) <= 1.0
         if np.max(np.abs(state.u)) > 0.5:
             saw_active_dual = True
@@ -258,7 +287,7 @@ def test_nerd_p_broken_projection_raises(monkeypatch):
     sampler = Sampler(config("nerd-p"), op, y, gmm_prior(), SCHED)
     state = sampler.initialize()
     with pytest.raises(SamplerError, match="unit l-inf ball"):
-        sampler.nerd_p_step(state, int(SCHED.sampling_steps[0]), 0)
+        sampler.step(state, int(SCHED.sampling_steps[0]), 0)
 
 
 def test_nerd_p_lam_z_zero_keeps_dual_silent():
@@ -268,27 +297,27 @@ def test_nerd_p_lam_z_zero_keeps_dual_silent():
     steps = SCHED.sampling_steps
     for i, t in enumerate(steps):
         t_next = int(steps[i + 1]) if i + 1 < len(steps) else 0
-        sampler.nerd_p_step(state, int(t), t_next)
+        sampler.step(state, int(t), t_next)
         assert np.all(state.u == 0.0)
 
 
 def test_nerd_p_extrapolation_modes_differ():
     op, phantom, y = small_problem(noise=0.05)
-    x_lit, _ = run_sampler(
+    x_lit, _ = Sampler(
         config("nerd-p", sigma=10.0, pdhg_extrapolation="literal"),
         op, y, gmm_prior(), SCHED, phantom,
-    )
-    x_cls, _ = run_sampler(
+    ).run()
+    x_cls, _ = Sampler(
         config("nerd-p", sigma=10.0, pdhg_extrapolation="classical"),
         op, y, gmm_prior(), SCHED, phantom,
-    )
+    ).run()
     assert not np.array_equal(x_lit, x_cls)
 
 
 def test_nerd_p_data_residual_improves():
     op, phantom, y = small_problem(noise=0.05)
     cfg = config("nerd-p", n_steps=8, inner_steps=10, lr=0.02)
-    _, traces = run_sampler(cfg, op, y, gmm_prior(), SCHED, phantom)
+    _, traces = Sampler(cfg, op, y, gmm_prior(), SCHED, phantom).run()
     assert traces[-1].data_residual <= traces[0].data_residual
 
 
@@ -306,7 +335,7 @@ def test_dds_gamma_zero_full_view_reaches_least_squares():
     sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
     state = sampler.initialize()
     t = int(SCHED.sampling_steps[0])
-    x0 = sampler.dds_step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
     resid = np.sqrt(np.sum((op.forward(x0) - y) ** 2))
     # Normal-equation conditioning limits the reachable accuracy.
     assert resid <= 1e-5 * np.sqrt(np.sum(y**2))
@@ -323,7 +352,7 @@ def test_dds_huge_gamma_smooths_along_z():
     state = sampler.initialize()
     t = int(SCHED.sampling_steps[-1])
     before = sampler.prior.denoise(state.x, t)
-    x0 = sampler.dds_step(state, t, 0, resample=False)
+    x0 = sampler.step(state, t, 0, resample=False)
     assert l1_norm(dz_forward(x0)) < l1_norm(dz_forward(before))
 
 
@@ -334,7 +363,7 @@ def test_dds_zero_admm_iters_is_plain_denoising():
     state = sampler.initialize()
     x_t = state.x.copy()
     t = int(SCHED.sampling_steps[0])
-    x0 = sampler.dds_step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
     assert np.array_equal(x0, sampler.prior.denoise(x_t, t))
 
 
@@ -344,7 +373,7 @@ def test_dds_cg_nonconvergence_warns(caplog):
     sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
     state = sampler.initialize()
     with caplog.at_level(logging.WARNING, logger="nerdct.samplers"):
-        sampler.dds_step(state, 1000, 500, resample=False)
+        sampler.step(state, 1000, 500, resample=False)
     assert any("CG stopped" in rec.message for rec in caplog.records)
 
 
@@ -354,8 +383,8 @@ def test_dds_cg_nonconvergence_warns_once_per_step(caplog):
     sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
     state = sampler.initialize()
     with caplog.at_level(logging.WARNING, logger="nerdct.samplers"):
-        sampler.dds_step(state, 1000, 500)
-        sampler.dds_step(state, 500, 250)
+        sampler.step(state, 1000, 500)
+        sampler.step(state, 500, 250)
     assert len(caplog.records) == 2
     for rec in caplog.records:
         assert "CG stopped at 1 iterations in 5 of 5 solves" in rec.message
@@ -466,4 +495,4 @@ def test_overflowing_inner_objective_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SamplerError):
-            sampler.sitcom_step(state, 1000, 500, resample=False)
+            sampler.step(state, 1000, 500, resample=False)

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from nerdct import (
-    SLICE_AXES,
-    dot,
     dz_adjoint,
     dz_forward,
-    get_slice,
     l1_norm,
     l2_norm_sq,
     load_volume,
@@ -57,8 +54,8 @@ def test_dz_adjoint_identity():
     for _ in range(20):
         v = rng.normal_array((6, 4, 4))
         g = rng.normal_array((6, 4, 4))
-        lhs = dot(dz_forward(v), g)
-        rhs = dot(v, dz_adjoint(g))
+        lhs = float(np.vdot(dz_forward(v), g))
+        rhs = float(np.vdot(v, dz_adjoint(g)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -87,41 +84,8 @@ def test_validate_volume_dtype_and_layout():
 def test_linalg_helpers():
     rng = Xoshiro256PP(3)
     a = rng.normal_array((4, 3, 2))
-    b = rng.normal_array((4, 3, 2))
-    assert abs(dot(a, b) - float(np.sum(a * b))) < 1e-12
     assert abs(l2_norm_sq(a) - float(np.sum(a * a))) < 1e-12
     assert abs(l1_norm(a) - float(np.sum(np.abs(a)))) < 1e-12
-    with pytest.raises(ValueError):
-        dot(a, b[:2])
-
-
-def test_slice_round_trip():
-    rng = Xoshiro256PP(4)
-    vol = rng.normal_array((5, 6, 7))
-    for axis in SLICE_AXES:
-        n = {"axial": 5, "coronal": 6, "sagittal": 7}[axis]
-        for idx in range(n):
-            plane = get_slice(vol, axis, idx)
-            stamped = vol.copy()
-            get_slice(stamped, axis, idx)[...] = plane * 2.0
-            assert np.allclose(get_slice(stamped, axis, idx), plane * 2.0)
-            # Other slices along the same axis untouched.
-            for other in range(n):
-                if other != idx:
-                    assert np.array_equal(
-                        get_slice(stamped, axis, other), get_slice(vol, axis, other)
-                    )
-
-
-def test_slice_orientation():
-    vol = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
-    assert np.array_equal(get_slice(vol, "axial", 1), vol[1])
-    assert np.array_equal(get_slice(vol, "coronal", 2), vol[:, 2, :])
-    assert np.array_equal(get_slice(vol, "sagittal", 3), vol[:, :, 3])
-    with pytest.raises(ValueError):
-        get_slice(vol, "oblique", 0)
-    with pytest.raises(IndexError):
-        get_slice(vol, "axial", 2)
 
 
 def test_volume_io_round_trip(tmp_path):
