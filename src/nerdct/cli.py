@@ -7,7 +7,6 @@ success, 1 for usage/config errors, 2 for runtime or numeric failures.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -27,7 +26,7 @@ from .radon import (
     save_sinogram,
 )
 from .samplers import Sampler, SamplerError, save_trace
-from .volume import load_volume, save_volume
+from .volume import load_volume, save_volume, write_json
 
 COMMANDS = (
     "generate-phantom",
@@ -184,9 +183,7 @@ def cmd_evaluate(cfg):
     report = evaluate_volume(
         recon, reference, data_range=1.0, seed=cfg.seed, config=cfg.to_dict()
     )
-    with open(cfg.report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg.report_path, report.to_dict())
     axial = report.views["axial"]
     print(
         f"wrote {cfg.report_path} (axial PSNR {axial.psnr_mean:.2f} dB, "
@@ -242,7 +239,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _load_config(args)
         return _HANDLERS[args.command](cfg)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SamplerError, NonFiniteGradientError, ArithmeticError) as exc:

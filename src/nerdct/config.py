@@ -10,8 +10,7 @@ the lam* fields.
 import math
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
+from .priors import validate_mixture
 from .samplers import SamplerConfig
 
 
@@ -67,6 +66,7 @@ class RunConfig(SamplerConfig):
             )
         if self.prior not in ("gmm", "conv", "identity"):
             raise ConfigError(f"prior must be gmm, conv or identity, got {self.prior!r}")
+        parse_gmm_components(self.gmm_components)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not 0 < self.holdout_fraction < 1:
@@ -153,7 +153,7 @@ def build_run_config(file_values=None, overrides=None):
 
 
 def parse_gmm_components(text):
-    """'w:mu:s,...' triples to (weights, means, stds) arrays."""
+    """'w:mu:s,...' triples to checked (weights, means, stds) arrays."""
     triples = [chunk for chunk in text.split(",") if chunk.strip()]
     if not triples:
         raise ConfigError("gmm_components must list at least one w:mu:s triple")
@@ -169,4 +169,7 @@ def parse_gmm_components(text):
         weights.append(w)
         means.append(mu)
         stds.append(s)
-    return np.asarray(weights), np.asarray(means), np.asarray(stds)
+    try:
+        return validate_mixture(weights, means, stds)
+    except ValueError as exc:
+        raise ConfigError(f"gmm_components: {exc}") from exc

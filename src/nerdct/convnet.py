@@ -10,14 +10,13 @@ Forward, input-gradient, and weight-gradient passes are explicit numpy so
 they can be checked directly against finite differences.
 """
 
-import json
-
 import numpy as np
 
 from .optim import AdamState, adam_step
 from .priors import DenoiserPrior
 from .rng import Xoshiro256PP
 from .schedule import tweedie_denoise
+from .volume import load_raw, save_raw
 
 KERNEL = 3
 CHANNELS = (2, 8, 8, 1)  # image + time channel in, eps out
@@ -285,32 +284,20 @@ def train_denoiser(slices, schedule, epochs, seed, lr=1e-3, holdout_fraction=0.2
 def save_weights(path, weights, schedule, record=None):
     """Raw float64 weight vector plus a JSON descriptor at path + '.json'."""
     flat = pack_weights(weights)
-    flat.astype("<f8").tofile(path)
-    descriptor = {
+    save_raw(path, flat, {
         "kernel": KERNEL,
         "channels": list(CHANNELS),
         "n_parameters": int(flat.size),
-        "dtype": "<f8",
         "layout": "per layer: kernel C-order then bias",
         "schedule": {
             "num_train_steps": schedule.num_train_steps,
             "alpha_bar_last": float(schedule.alpha_bar[-1]),
         },
         "training": record or {},
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(descriptor, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_weights(path):
     """Load weights written by save_weights; returns (weights, descriptor)."""
-    with open(path + ".json") as fh:
-        descriptor = json.load(fh)
-    flat = np.fromfile(path, dtype="<f8")
-    if flat.size != descriptor["n_parameters"]:
-        raise ValueError(
-            f"{path}: {flat.size} parameters, descriptor says "
-            f"{descriptor['n_parameters']}"
-        )
+    flat, descriptor = load_raw(path, "n_parameters")
     return unpack_weights(flat), descriptor

@@ -79,15 +79,15 @@ class CGResult:
     @property
     def relative_residual(self):
         first = self.residual_norms[0]
-        return self.residual_norms[-1] / first if first > 0 else 0.0
+        return 0.0 if first == 0.0 else self.residual_norms[-1] / first
 
 
 def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
     """Matrix-free CG for SPD operators.
 
     Stops when ||r|| <= tol * ||b||.  Non-convergence is reported through
-    the result (converged=False), never silently; a non-positive curvature
-    direction sets breakdown=True and returns the last iterate.
+    the result (converged=False), never silently; a non-positive or NaN
+    curvature sets breakdown=True and returns the last iterate.
     """
     b = np.asarray(b, dtype=np.float64)
     if max_iter is None:
@@ -104,7 +104,7 @@ def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
             return CGResult(x, True, iterations, norms)
         op_d = apply_op(d)
         curvature = float(np.dot(d.ravel(), op_d.ravel()))
-        if curvature <= 0.0:
+        if not curvature > 0.0:
             return CGResult(x, False, iterations, norms, breakdown=True)
         alpha = rs / curvature
         x = x + alpha * d

@@ -44,6 +44,26 @@ class IdentityPrior(DenoiserPrior):
         return x_t, lambda cotangent: cotangent
 
 
+def validate_mixture(weights, means, stds):
+    """Checked float64 (weights, means, stds) of a scalar mixture; NaN and inf fail."""
+    weights = np.asarray(weights, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    stds = np.asarray(stds, dtype=np.float64)
+    if not (weights.shape == means.shape == stds.shape) or weights.ndim != 1:
+        raise ValueError("weights, means, stds must be equal-length 1D arrays")
+    if len(weights) < 1:
+        raise ValueError("mixture needs at least one component")
+    if not np.all(weights > 0):
+        raise ValueError("component weights must be positive")
+    if not abs(weights.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"component weights must sum to 1, got {weights.sum()}")
+    if not np.all(np.isfinite(means)):
+        raise ValueError("component means must be finite")
+    if not np.all((stds > 0) & np.isfinite(stds)):
+        raise ValueError("component stds must be positive and finite")
+    return weights, means, stds
+
+
 class GmmScalarPrior(DenoiserPrior):
     """Per-voxel scalar Gaussian-mixture prior with the exact posterior mean.
 
@@ -60,23 +80,8 @@ class GmmScalarPrior(DenoiserPrior):
     """
 
     def __init__(self, schedule, weights, means, stds):
-        weights = np.asarray(weights, dtype=np.float64)
-        means = np.asarray(means, dtype=np.float64)
-        stds = np.asarray(stds, dtype=np.float64)
-        if not (weights.shape == means.shape == stds.shape) or weights.ndim != 1:
-            raise ValueError("weights, means, stds must be equal-length 1D arrays")
-        if len(weights) < 1:
-            raise ValueError("mixture needs at least one component")
-        if np.any(weights <= 0):
-            raise ValueError("component weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"component weights must sum to 1, got {weights.sum()}")
-        if np.any(stds <= 0):
-            raise ValueError("component stds must be positive")
         self.schedule = schedule
-        self.weights = weights
-        self.means = means
-        self.stds = stds
+        self.weights, self.means, self.stds = validate_mixture(weights, means, stds)
 
     def _tiled(self, x_t, t, with_deriv):
         """Posterior mean and (if asked) its derivative, in tiles of `_TILE` voxels.

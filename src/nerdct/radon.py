@@ -11,15 +11,14 @@ A 3D volume (nz, ny, nx) is projected slice by slice with a shared
 geometry; sinograms are stored as (n_views, n_detectors, nz).
 """
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .rng import Xoshiro256PP
+from .volume import load_raw, save_raw
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,10 @@ def save_sinogram(path, sino, geometry, view_indices, sigma_y=None, seed=None,
         raise ValueError(f"expected (views, detectors, slices), got {sino.shape}")
     if not np.all(np.isfinite(sino)):
         raise ValueError("sinogram contains non-finite entries")
-    sino.astype("<f8").tofile(path)
-    sidecar = {
+    save_raw(path, sino, {
         "n_views": int(sino.shape[0]),
         "n_detectors": int(sino.shape[1]),
         "nz": int(sino.shape[2]),
-        "dtype": "<f8",
         "layout": "C-order (view, detector, slice)",
         "geometry": {
             "n_angles_full": geometry.n_angles_full,
@@ -196,23 +193,9 @@ def save_sinogram(path, sino, geometry, view_indices, sigma_y=None, seed=None,
         "sigma_y": sigma_y,
         "seed": seed,
         "provenance": provenance or {},
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_sinogram(path):
     """Load a sinogram written by save_sinogram; returns (sino, sidecar)."""
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    shape = (sidecar["n_views"], sidecar["n_detectors"], sidecar["nz"])
-    expected = shape[0] * shape[1] * shape[2] * 8
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise ValueError(
-            f"{path}: size {actual} bytes does not match sidecar dims "
-            f"{shape} ({expected} bytes)"
-        )
-    sino = np.fromfile(path, dtype="<f8").reshape(shape)
-    return sino, sidecar
+    return load_raw(path, "n_views", "n_detectors", "nz")

@@ -3,10 +3,13 @@
 A volume is a C-contiguous float64 array of shape (nz, ny, nx): z is the
 slowest axis, so ``vol[k]`` is the k-th axial slice.  Files on disk are the
 raw little-endian float64 buffer in that order, with a JSON sidecar at
-``<path>.json`` recording dimensions, dtype and provenance.
+``<path>.json`` recording dimensions, dtype and provenance.  Sinograms and
+weights use the same format: every raw array is written by `save_raw` and
+read by `load_raw`, and every JSON file by `write_json`.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -56,35 +59,48 @@ def l1_norm(a):
     return float(np.sum(np.abs(a)))
 
 
-def save_volume(path, vol, provenance=None):
-    """Raw little-endian float64 dump plus a JSON sidecar at path + '.json'."""
-    vol = validate_volume(vol)
-    nz, ny, nx = vol.shape
-    vol.astype("<f8").tofile(path)
-    sidecar = {
-        "nx": int(nx),
-        "ny": int(ny),
-        "nz": int(nz),
-        "dtype": "<f8",
-        "layout": "C-order (nz, ny, nx), z slowest",
-        "provenance": provenance or {},
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+def write_json(path, obj):
+    """JSON with indent 2, sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_volume(path):
-    """Load a raw volume written by save_volume; returns (volume, sidecar)."""
+def save_raw(path, array, sidecar):
+    """Raw little-endian float64 dump in C order plus `sidecar` at path + '.json'."""
+    np.asarray(array, dtype="<f8").tofile(path)
+    write_json(path + ".json", {**sidecar, "dtype": "<f8"})
+
+
+def load_raw(path, *shape_keys):
+    """(array, sidecar) of a save_raw file, shaped by the sidecar's `shape_keys`."""
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
-    shape = (sidecar["nz"], sidecar["ny"], sidecar["nx"])
-    expected = shape[0] * shape[1] * shape[2] * 8
+    shape = tuple(sidecar[key] for key in shape_keys)
+    expected = math.prod(shape) * 8
     actual = os.path.getsize(path)
     if actual != expected:
         raise ValueError(
             f"{path}: size {actual} bytes does not match sidecar dims "
             f"{shape} ({expected} bytes)"
         )
-    vol = np.fromfile(path, dtype="<f8").reshape(shape)
+    return np.fromfile(path, dtype="<f8").reshape(shape), sidecar
+
+
+def save_volume(path, vol, provenance=None):
+    """Raw little-endian float64 dump plus a JSON sidecar at path + '.json'."""
+    vol = validate_volume(vol)
+    nz, ny, nx = vol.shape
+    save_raw(path, vol, {
+        "nx": int(nx),
+        "ny": int(ny),
+        "nz": int(nz),
+        "layout": "C-order (nz, ny, nx), z slowest",
+        "provenance": provenance or {},
+    })
+
+
+def load_volume(path):
+    """Load a raw volume written by save_volume; returns (volume, sidecar)."""
+    vol, sidecar = load_raw(path, "nz", "ny", "nx")
     return validate_volume(vol), sidecar

@@ -94,10 +94,13 @@ def test_invalid_dims_exit_code_and_no_file(tmp_path):
 
 
 def test_sampler_keys_validated_at_load(tmp_path):
-    # Every command validates the full config, sampler keys included.
-    args = BASE + paths_args(tmp_path) + ["--set", "tau=0"]
-    assert main(["generate-phantom"] + args) == 1
-    assert not (tmp_path / "phantom.f64").exists()
+    # Every command validates the full config, sampler and prior keys included.
+    for override in ("tau=0", "gmm_components=garbage",
+                     "gmm_components=0.5:0:0.1",  # weights sum to 0.5
+                     "gmm_components=1:nan:0.1"):
+        args = BASE + paths_args(tmp_path) + ["--set", override]
+        assert main(["generate-phantom"] + args) == 1, override
+        assert not (tmp_path / "phantom.f64").exists(), override
 
 
 def test_unknown_command_usage_error():

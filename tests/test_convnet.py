@@ -252,6 +252,16 @@ def test_weights_io_round_trip(tmp_path):
     assert tuple(meta["channels"]) == CHANNELS
 
 
+def test_weights_io_size_mismatch(tmp_path):
+    path = tmp_path / "weights.f64"
+    save_weights(str(path), init_weights(16), SCHED)
+    data = path.read_bytes()
+    for damaged in (data[:-8], data + b"\0\0\0"):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="does not match"):
+            load_weights(str(path))
+
+
 def test_prior_denoise_and_vjp_consistent_with_tweedie():
     weights = init_weights(17)
     prior = ConvDenoiserPrior(SCHED, weights)

@@ -1,4 +1,5 @@
-"""Every public export of the package has a caller outside its own tests."""
+"""Package-wide lints: every public export has a caller outside its own tests,
+and only `volume.py` reads or writes raw arrays and JSON."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nerdct"
 MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+FORMAT_CALLS = {"tofile", "fromfile", "json.dump", "json.load"}
+
+
+def nodes(path):
+    return ast.walk(ast.parse(path.read_text()))
 
 
 def exported_names():
@@ -22,7 +28,7 @@ def used_names(path):
     and neither does a name's own `def` or `class`.
     """
     used = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in nodes(path):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.ImportFrom):
@@ -40,3 +46,23 @@ def test_every_export_is_used_outside_its_own_tests():
     used = set().union(*(used_names(p) for p in callers))
     unused = sorted(exported_names() - used)
     assert not unused, f"exported but used only by their own tests: {unused}"
+
+
+def attribute_calls(path):
+    """Methods a file calls: `.name`, and `obj.name` when obj is a bare name."""
+    called = set()
+    for node in nodes(path):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+            if isinstance(node.func.value, ast.Name):
+                called.add(f"{node.func.value.id}.{node.func.attr}")
+    return called
+
+
+def test_only_volume_module_does_file_format_io():
+    owner = PACKAGE / "volume.py"
+    assert FORMAT_CALLS <= attribute_calls(owner)
+    offenders = {p.name: sorted(attribute_calls(p) & FORMAT_CALLS)
+                 for p in sorted(PACKAGE.glob("*.py")) if p != owner}
+    offenders = {name: calls for name, calls in offenders.items() if calls}
+    assert not offenders, f"raw-array/JSON IO outside volume.py: {offenders}"

@@ -249,11 +249,16 @@ def test_cg_max_iter_respected():
 
 
 def test_cg_breakdown_on_indefinite():
-    # A matrix with a negative eigenvalue produces non-positive curvature.
+    # A matrix with a negative eigenvalue produces non-positive curvature;
+    # an operator returning NaN produces NaN curvature.
     mat = np.diag([1.0, -1.0])
     b = np.array([1.0, 1.0])
     res = cg_solve(lambda x: mat @ x, b, tol=1e-12, max_iter=10)
     assert res.breakdown
+    res = cg_solve(lambda x: x * np.nan, np.ones(4), max_iter=5)
+    assert res.breakdown
+    assert res.iterations == 0
+    assert np.isnan(res.relative_residual)
 
 
 def test_cg_warm_start():
@@ -269,3 +274,4 @@ def test_cg_zero_rhs():
     res = cg_solve(lambda x: 2.0 * x, np.zeros(5), tol=1e-12)
     assert res.converged
     assert np.all(res.x == 0.0)
+    assert res.relative_residual == 0.0

@@ -391,6 +391,16 @@ def test_dds_cg_nonconvergence_warns_once_per_step(caplog):
         assert "worst relative residual" in rec.message
 
 
+def test_dds_cg_breakdown_on_nan_operator(monkeypatch):
+    # NaN curvature is a breakdown, not a silent unconverged solve.
+    op, _, y = small_problem(noise=0.05)
+    sampler = Sampler(config("dds", dds_admm_iters=1), op, y, gmm_prior(), SCHED)
+    state = sampler.initialize()
+    monkeypatch.setattr(op, "forward", lambda vol: np.full(op.sinogram_shape, np.nan))
+    with pytest.raises(SamplerError, match="CG breakdown"):
+        sampler.step(state, 1000, 500, resample=False)
+
+
 @pytest.mark.parametrize("method, tau, sigma, lam_z, warns", [
     ("nerd-p", 0.01, 20.0, 0.05, False),  # the pins: 0.002
     ("nerd-p", 0.25, 1.0, 1.0, True),     # exactly 1
