@@ -88,6 +88,10 @@ def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
     Stops when ||r|| <= tol * ||b||.  Non-convergence is reported through
     the result (converged=False), never silently; a non-positive or NaN
     curvature sets breakdown=True and returns the last iterate.
+
+    x, r and d are updated in place through one scratch array, and the
+    array `apply_op` returns is read before the next call, so it may be a
+    buffer that `apply_op` reuses.  `b` and `x0` are never written.
     """
     b = np.asarray(b, dtype=np.float64)
     if max_iter is None:
@@ -95,6 +99,7 @@ def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - apply_op(x)
     d = r.copy()
+    scratch = np.empty_like(b)
     rs = float(np.dot(r.ravel(), r.ravel()))
     b_norm = float(np.linalg.norm(b.ravel()))
     norms = [np.sqrt(rs)]
@@ -107,10 +112,11 @@ def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
         if not curvature > 0.0:
             return CGResult(x, False, iterations, norms, breakdown=True)
         alpha = rs / curvature
-        x = x + alpha * d
-        r = r - alpha * op_d
+        x += np.multiply(alpha, d, out=scratch)
+        r -= np.multiply(alpha, op_d, out=scratch)
         rs_new = float(np.dot(r.ravel(), r.ravel()))
-        d = r + (rs_new / rs) * d
+        d *= rs_new / rs
+        d += r
         rs = rs_new
         iterations += 1
         norms.append(np.sqrt(rs))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .rng import Xoshiro256PP
 from .volume import load_raw, save_raw
@@ -96,12 +97,34 @@ def _ray_matrix(nx, ny, geometry, angle_indices):
     return matrix.tocsr()
 
 
+def _csr_matmul(matrix, x, out):
+    """out = matrix @ x for C-contiguous float64 blocks x (N, k) and out (M, k).
+
+    Runs the sparsetools routine that scipy's own `matrix @ x` runs, with the
+    same arguments (csr_matvec for k = 1, csr_matvecs otherwise), but into
+    the caller's buffer instead of a fresh one, so the bits are scipy's.
+    """
+    out.fill(0.0)
+    m, n = matrix.shape
+    if x.shape[1] == 1:
+        _sparsetools.csr_matvec(m, n, matrix.indptr, matrix.indices, matrix.data,
+                                x.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(m, n, x.shape[1], matrix.indptr, matrix.indices,
+                                 matrix.data, x.ravel(), out.ravel())
+
+
 class CTOperator:
     """Forward/adjoint projector for a volume, optionally view-subsampled.
 
     With `view_indices` the operator is A = P T: project at the selected
     angles only.  The adjoint of the subsampled operator equals zero-filling
     the missing views and applying the full-view adjoint.
+
+    Both directions go through one (ny*nx, nz) staging buffer that the
+    operator owns: `forward` copies the volume into it, `adjoint` runs the
+    product into it.  So one operator must not be called from two threads
+    at once.
     """
 
     def __init__(self, nx, ny, nz, geometry, view_indices=None):
@@ -125,6 +148,7 @@ class CTOperator:
         self.view_indices = view_indices
         self._matrix = _ray_matrix(nx, ny, geometry, view_indices)
         self._matrix_t = self._matrix.T.tocsr()
+        self._staging = np.empty((ny * nx, nz))
 
     @property
     def n_views(self):
@@ -140,21 +164,34 @@ class CTOperator:
             raise ValueError(
                 f"expected volume {(self.nz, self.ny, self.nx)}, got {vol.shape}"
             )
-        stacked = vol.reshape(self.nz, self.ny * self.nx).T
-        sino = self._matrix @ stacked
-        return np.ascontiguousarray(
-            sino.reshape(self.n_views, self.geometry.n_detectors, self.nz)
-        )
+        np.copyto(self._staging.T, vol.reshape(self.nz, self.ny * self.nx))
+        sino = np.empty(self.sinogram_shape)
+        _csr_matmul(self._matrix, self._staging, sino.reshape(-1, self.nz))
+        return sino
 
-    def adjoint(self, sino):
-        """(n_views, n_detectors, nz) sinogram -> (nz, ny, nx) volume."""
+    def adjoint(self, sino, out=None):
+        """(n_views, n_detectors, nz) sinogram -> (nz, ny, nx) volume.
+
+        With `out`, a C-contiguous float64 (nz, ny, nx) array, the result is
+        written there and `out` is returned.
+        """
         if sino.shape != self.sinogram_shape:
             raise ValueError(
                 f"expected sinogram {self.sinogram_shape}, got {sino.shape}"
             )
-        rows = sino.reshape(self.n_views * self.geometry.n_detectors, self.nz)
-        vol = self._matrix_t @ rows
-        return np.ascontiguousarray(vol.T.reshape(self.nz, self.ny, self.nx))
+        shape = (self.nz, self.ny, self.nx)
+        if out is None:
+            out = np.empty(shape)
+        elif (out.shape != shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError(
+                f"out must be a C-contiguous float64 {shape} array, got "
+                f"{out.dtype} {out.shape}"
+            )
+        rows = np.ascontiguousarray(sino, dtype=np.float64).reshape(-1, self.nz)
+        _csr_matmul(self._matrix_t, rows, self._staging)
+        np.copyto(out.reshape(self.nz, -1), self._staging.T)
+        return out
 
 
 def add_gaussian_noise(sino, sigma_y, seed):
@@ -163,8 +200,8 @@ def add_gaussian_noise(sino, sigma_y, seed):
     Draws follow C order of the (view, detector, slice) array from the
     seeded stream.  sigma_y = 0 returns an untouched copy without drawing.
     """
-    if sigma_y < 0:
-        raise ValueError(f"sigma_y must be >= 0, got {sigma_y}")
+    if not 0 <= sigma_y < math.inf:
+        raise ValueError(f"sigma_y must be finite and >= 0, got {sigma_y}")
     if sigma_y == 0:
         return sino.copy()
     rng = Xoshiro256PP(seed)

@@ -361,10 +361,15 @@ class Sampler:
         rho = cfg.dds_rho
         if self._aty2 is None:
             self._aty2 = 2.0 * self.op.adjoint(self.y)
+        normal_buf, dz_buf, smooth_buf = np.empty((3,) + x.shape)
 
         def apply_op(v):
-            return (2.0 * self.op.adjoint(self.op.forward(v))
-                    + rho * dz_adjoint(dz_forward(v)))
+            out = self.op.adjoint(self.op.forward(v), out=normal_buf)
+            out *= 2.0
+            smooth = dz_adjoint(dz_forward(v, out=dz_buf), out=smooth_buf)
+            smooth *= rho
+            out += smooth
+            return out
 
         z = np.zeros_like(x)
         w = np.zeros_like(x)

@@ -30,21 +30,30 @@ def validate_volume(vol):
     return np.ascontiguousarray(vol)
 
 
-def dz_forward(vol):
+def dz_forward(vol, out=None):
     """Forward difference along z with a Neumann (replicated) boundary.
 
     out[k] = vol[k+1] - vol[k] for k < nz-1, and out[nz-1] = 0.  Voxel
-    spacing is 1, so values are plain differences.
+    spacing is 1, so values are plain differences.  With `out`, an array
+    of vol's shape that does not overlap it, the result is written there.
     """
-    out = np.zeros_like(vol)
-    out[:-1] = vol[1:] - vol[:-1]
+    if out is None:
+        out = np.empty_like(vol)
+    np.subtract(vol[1:], vol[:-1], out=out[:-1])
+    out[-1] = 0.0
     return out
 
 
-def dz_adjoint(grad):
-    """Exact adjoint of dz_forward (negative divergence along z)."""
-    out = np.zeros_like(grad)
-    out[:-1] -= grad[:-1]
+def dz_adjoint(grad, out=None):
+    """Exact adjoint of dz_forward (negative divergence along z).
+
+    `out` works as in dz_forward.  0.0 - g gives the bits of zeros minus g,
+    signed zeros included, which negating g would not.
+    """
+    if out is None:
+        out = np.empty_like(grad)
+    np.subtract(0.0, grad[:-1], out=out[:-1])
+    out[-1] = 0.0
     out[1:] += grad[:-1]
     return out
 
@@ -77,6 +86,11 @@ def load_raw(path, *shape_keys):
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
     shape = tuple(sidecar[key] for key in shape_keys)
+    for key, n in zip(shape_keys, shape):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(
+                f"{path}.json: {key} must be a non-negative integer, got {n!r}"
+            )
     expected = math.prod(shape) * 8
     actual = os.path.getsize(path)
     if actual != expected:

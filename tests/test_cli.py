@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from nerdct import load_volume
+from nerdct import load_volume, save_volume
 from nerdct.cli import main
 from nerdct.config import build_run_config, parse_config_text, parse_gmm_components
 
@@ -134,6 +134,23 @@ def test_corrupted_sinogram_rejected(tmp_path):
     raw = (tmp_path / "sino.f64").read_bytes()
     (tmp_path / "sino.f64").write_bytes(raw[:-16])
     assert main(["reconstruct"] + args) == 1
+
+
+@pytest.mark.parametrize("edits", [
+    {"nz": 1.0}, {"nz": True}, {"nz": -1, "ny": -16},
+])
+def test_bad_volume_sidecar_dims_exit_1(tmp_path, capsys, edits):
+    # A one-slice input volume, so every edit keeps the sidecar's byte-size
+    # product and only a check of the values themselves catches it.
+    args = BASE + paths_args(tmp_path)
+    save_volume(str(tmp_path / "phantom.f64"), np.zeros((1, 16, 16)))
+    sidecar_path = tmp_path / "phantom.f64.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar_path.write_text(json.dumps({**sidecar, **edits}))
+    capsys.readouterr()
+    assert main(["simulate"] + args) == 1
+    assert "nz must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "sino.f64").exists()
 
 
 def test_config_mismatch_with_sinogram_sidecar(tmp_path):

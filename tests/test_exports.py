@@ -1,5 +1,6 @@
 """Package-wide lints: every public export has a caller outside its own tests,
-and only `volume.py` reads or writes raw arrays and JSON."""
+only `volume.py` reads or writes raw arrays and JSON, and only `radon.py`
+imports private scipy names."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,24 @@ def test_only_volume_module_does_file_format_io():
                  for p in sorted(PACKAGE.glob("*.py")) if p != owner}
     offenders = {name: calls for name, calls in offenders.items() if calls}
     assert not offenders, f"raw-array/JSON IO outside volume.py: {offenders}"
+
+
+def private_scipy_imports(path):
+    """Imported dotted names under `scipy` with a `_`-prefixed part after it."""
+    names = set()
+    for node in nodes(path):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name for name in names if name.split(".")[0] == "scipy"
+            and any(part.startswith("_") for part in name.split(".")[1:])}
+
+
+def test_only_radon_module_imports_private_scipy_names():
+    owner = PACKAGE / "radon.py"
+    assert private_scipy_imports(owner) == {"scipy.sparse._sparsetools"}
+    offenders = {p.name: sorted(private_scipy_imports(p))
+                 for p in sorted(PACKAGE.glob("*.py")) if p != owner}
+    offenders = {name: names for name, names in offenders.items() if names}
+    assert not offenders, f"private scipy imports outside radon.py: {offenders}"

@@ -199,6 +199,56 @@ def test_project_linf_ball_matches_grid_minimiser(u):
 
 # ------------------------------------------------- conjugate gradient
 
+def cg_oracle(apply_op, b, tol, max_iter, x0):
+    """The out-of-place CG recursion; cg_solve must keep its bits."""
+    x = np.array(x0, dtype=np.float64)
+    r = b - apply_op(x)
+    d = r.copy()
+    rs = float(np.dot(r.ravel(), r.ravel()))
+    b_norm = float(np.linalg.norm(b.ravel()))
+    norms = [np.sqrt(rs)]
+    for _ in range(max_iter):
+        if norms[-1] <= tol * b_norm:
+            break
+        op_d = apply_op(d)
+        alpha = rs / float(np.dot(d.ravel(), op_d.ravel()))
+        x = x + alpha * d
+        r = r - alpha * op_d
+        rs_new = float(np.dot(r.ravel(), r.ravel()))
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+        norms.append(np.sqrt(rs))
+    return x, norms
+
+
+def test_cg_in_place_matches_out_of_place_recursion():
+    # apply_op returns one buffer it overwrites on every call, as the dds
+    # normal operator does; cg_solve must read it before the next call.
+    rng = Xoshiro256PP(8)
+    mat = rng.normal_array((60, 60))
+    spd = mat.T @ mat + 0.1 * np.eye(60)
+    buf = np.empty((3, 4, 5))
+
+    def reused(v):
+        buf.reshape(-1)[:] = spd @ v.ravel()
+        return buf
+
+    def fresh(v):
+        return (spd @ v.ravel()).reshape(v.shape)
+
+    b = rng.normal_array((3, 4, 5))
+    x0 = rng.normal_array((3, 4, 5))
+    for tol, max_iter in ((1e-14, 25), (1e-3, 200)):
+        held_b, held_x0 = b.copy(), x0.copy()
+        res = cg_solve(reused, b, tol=tol, max_iter=max_iter, x0=x0)
+        x, norms = cg_oracle(fresh, b, tol, max_iter, x0)
+        assert res.x.tobytes() == x.tobytes()
+        assert res.residual_norms == norms
+        assert res.iterations == len(norms) - 1
+        assert np.array_equal(b, held_b) and np.array_equal(x0, held_x0)
+        assert not np.shares_memory(res.x, x0) and not np.shares_memory(res.x, buf)
+
+
 def test_cg_identity_system():
     b = Xoshiro256PP(3).normal_array((10,))
     res = cg_solve(lambda x: x, b, tol=1e-12)

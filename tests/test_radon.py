@@ -62,6 +62,38 @@ def test_adjoint_dot_product_identity():
         assert abs(lhs - rhs) <= max(bound, 1e-12)
 
 
+@pytest.mark.parametrize("nz", [1, 3])
+def test_projector_bytes_equal_scipy_product(nz):
+    # forward/adjoint run scipy's own CSR routine into their own buffers;
+    # the bytes must stay those of `matrix @ x` (one column takes scipy's
+    # single-vector routine).  Real inputs of any dtype give float64.
+    geom = ProjectionGeometry(n_angles_full=12, n_detectors=23)
+    op = CTOperator(16, 16, nz, geom, uniform_view_indices(12, 5))
+    rng = Xoshiro256PP(7)
+    vol = rng.normal_array((nz, 16, 16))
+    sino = rng.normal_array(op.sinogram_shape)
+    for v in (vol, vol.astype(np.float32), np.round(10 * vol).astype(np.int64)):
+        expected = op._matrix @ v.reshape(nz, -1).T
+        got = op.forward(v)
+        assert got.dtype == np.float64 and got.shape == op.sinogram_shape
+        assert got.tobytes() == expected.tobytes()
+    expected = np.ascontiguousarray((op._matrix_t @ sino.reshape(-1, nz)).T)
+    assert op.adjoint(sino).tobytes() == expected.tobytes()
+
+
+def test_adjoint_into_out_buffer():
+    geom = ProjectionGeometry(n_angles_full=12, n_detectors=23)
+    op = CTOperator(16, 16, 3, geom, uniform_view_indices(12, 5))
+    sino = Xoshiro256PP(8).normal_array(op.sinogram_shape)
+    out = np.full((3, 16, 16), np.nan)
+    assert op.adjoint(sino, out=out) is out
+    assert out.tobytes() == op.adjoint(sino).tobytes()
+    for bad in (np.empty((3, 16, 15)), np.empty((3, 16, 16), dtype=np.float32),
+                np.empty((3, 16, 16), order="F"), np.empty((3, 16, 32))[:, :, ::2]):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.adjoint(sino, out=bad)
+
+
 def test_centered_disk_projection_width():
     # A filled disk of radius r projects to a profile whose central ray
     # integrates to about the chord length 2r, independent of angle.
@@ -186,8 +218,9 @@ def test_noise_sigma_zero_is_identity():
     out = add_gaussian_noise(sino, 0.0, seed=1)
     assert np.array_equal(out, sino)
     assert out is not sino
-    with pytest.raises(ValueError):
-        add_gaussian_noise(sino, -0.1, seed=1)
+    for sigma_y in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            add_gaussian_noise(sino, sigma_y, seed=1)
 
 
 def test_sinogram_io_round_trip(tmp_path):

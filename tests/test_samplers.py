@@ -15,6 +15,7 @@ from nerdct import (
     SamplerConfig,
     SamplerError,
     default_geometry,
+    dz_adjoint,
     dz_forward,
     l1_norm,
     save_trace,
@@ -23,6 +24,7 @@ from nerdct import (
     uniform_view_indices,
 )
 from nerdct.rng import Xoshiro256PP
+from test_optim import cg_oracle
 
 NX, NZ = 16, 8
 GEOM = default_geometry(NX, 12)
@@ -365,6 +367,33 @@ def test_dds_zero_admm_iters_is_plain_denoising():
     t = int(SCHED.sampling_steps[0])
     x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
     assert np.array_equal(x0, sampler.prior.denoise(x_t, t))
+
+
+def test_dds_step_matches_out_of_place_oracle():
+    # The normal operator runs into per-step buffers and CG updates in
+    # place; one step must keep the bits of the out-of-place expression
+    # solved by the out-of-place CG recursion.
+    op, _, y = small_problem(noise=0.05)
+    gamma, rho, admm_iters, tol, max_iter = 0.02, 2.0, 3, 1e-10, 8
+    cfg = config("dds", dds_gamma=gamma, dds_rho=rho, dds_admm_iters=admm_iters,
+                 cg_tol=tol, cg_max_iter=max_iter)
+    sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
+    state = sampler.initialize()
+    t = int(SCHED.sampling_steps[1])
+
+    def apply_op(v):
+        return 2.0 * op.adjoint(op.forward(v)) + rho * dz_adjoint(dz_forward(v))
+
+    x = sampler.prior.denoise(state.x, t)
+    z = w = np.zeros_like(x)
+    for _ in range(admm_iters):
+        rhs = 2.0 * op.adjoint(y) + rho * dz_adjoint(z - w)
+        x, _ = cg_oracle(apply_op, rhs, tol, max_iter, x)
+        dz_x = dz_forward(x)
+        z = soft_threshold(dz_x + w, gamma / rho)
+        w = w + dz_x - z
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[2]), resample=False)
+    assert x0.tobytes() == x.tobytes()
 
 
 def test_dds_cg_nonconvergence_warns(caplog):

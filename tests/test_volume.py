@@ -26,26 +26,50 @@ def dense_dz_matrix(nz):
     return mat
 
 
+def signed_zero_volumes():
+    """Volumes of +0.0 and -0.0 (and one nz = 1), whose Dz signs are pinned."""
+    column = np.array([0.0, -0.0, -0.0, 0.0, 1.0, -0.0, -1.0])
+    return [np.broadcast_to(column[:, None, None], (7, 2, 3)).copy(),
+            np.array([-0.0, 0.0]).reshape(2, 1, 1), np.full((1, 2, 2), -0.0)]
+
+
+def assert_out_same_bytes(fn, a, expected):
+    """fn(a) and fn(a, out=buf) both give `expected`'s bytes; the latter returns buf."""
+    assert fn(a).tobytes() == expected.tobytes()
+    buf = np.full_like(a, np.nan)
+    assert fn(a, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+
+
 def test_dz_forward_matches_dense():
     rng = Xoshiro256PP(0)
-    for _ in range(10):
-        nz = int(rng.integers(2, 9, 1)[0])
-        vol = rng.normal_array((nz, 4, 5))
+    vols = [rng.normal_array((int(rng.integers(2, 9, 1)[0]), 4, 5)) for _ in range(10)]
+    for vol in vols + signed_zero_volumes():
+        nz = vol.shape[0]
         out = dz_forward(vol)
         mat = dense_dz_matrix(nz)
         expected = np.einsum("ij,jyx->iyx", mat, vol)
         assert np.allclose(out, expected, atol=1e-14)
         assert np.all(out[-1] == 0.0)
+        oracle = np.zeros_like(vol)
+        oracle[:-1] = vol[1:] - vol[:-1]
+        assert_out_same_bytes(dz_forward, vol, oracle)
 
 
 def test_dz_adjoint_matches_dense_transpose():
     rng = Xoshiro256PP(1)
-    for _ in range(10):
-        nz = int(rng.integers(2, 9, 1)[0])
-        g = rng.normal_array((nz, 3, 3))
+    grads = [rng.normal_array((int(rng.integers(2, 9, 1)[0]), 3, 3)) for _ in range(10)]
+    for g in grads + signed_zero_volumes():
+        nz = g.shape[0]
         mat = dense_dz_matrix(nz)
         expected = np.einsum("ji,jyx->iyx", mat, g)
         assert np.allclose(dz_adjoint(g), expected, atol=1e-14)
+        # zeros minus g, then plus the shifted g: -g alone would turn +0.0
+        # into -0.0.
+        oracle = np.zeros_like(g)
+        oracle[:-1] -= g[:-1]
+        oracle[1:] += g[:-1]
+        assert_out_same_bytes(dz_adjoint, g, oracle)
 
 
 def test_dz_adjoint_identity():
@@ -118,3 +142,20 @@ def test_volume_io_deterministic_bytes(tmp_path):
     save_volume(str(p2), vol)
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "a.f64.json").read_bytes() == (tmp_path / "b.f64.json").read_bytes()
+
+
+@pytest.mark.parametrize("shape, edits", [
+    ((8, 16, 16), {"nz": 8.0}),
+    ((1, 16, 16), {"nz": True}),
+    ((8, 16, 16), {"nz": -8, "ny": -16}),
+])
+def test_volume_io_rejects_bad_sidecar_dims(tmp_path, shape, edits):
+    # Each edit keeps the byte-size product (True is 1), so only a check of
+    # the values themselves catches it.
+    path = tmp_path / "vol.f64"
+    save_volume(str(path), np.zeros(shape))
+    sidecar_path = tmp_path / "vol.f64.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar_path.write_text(json.dumps({**sidecar, **edits}))
+    with pytest.raises(ValueError, match="nz must be a non-negative integer"):
+        load_volume(str(path))
