@@ -1,6 +1,13 @@
 """Sparse-view 3D CT reconstruction with network-regularized diffusion sampling."""
 
-from .config import ConfigError, RunConfig, build_run_config, parse_gmm_components
+from .config import (
+    ConfigError,
+    RunConfig,
+    build_geometry,
+    build_run_config,
+    build_schedule,
+    parse_gmm_components,
+)
 from .convnet import (
     ConvDenoiserPrior,
     conv_forward,
@@ -21,7 +28,7 @@ from .optim import (
     soft_threshold,
 )
 from .phantom import SHEPP_LOGAN_ELLIPSOIDS, Ellipsoid, shepp_logan_3d
-from .pipeline import build_geometry, build_operator, build_prior, build_schedule
+from .pipeline import build_operator, build_prior
 from .priors import DenoiserPrior, GmmScalarPrior, IdentityPrior
 from .radon import (
     CTOperator,

@@ -13,11 +13,11 @@ import sys
 import numpy as np
 
 from . import convnet
-from .config import ConfigError, build_run_config, parse_config_text
+from .config import ConfigError, build_run_config, build_schedule, parse_config_text
 from .metrics import evaluate_volume
 from .optim import NonFiniteGradientError
 from .phantom import shepp_logan_3d
-from .pipeline import build_operator, build_prior, build_schedule
+from .pipeline import build_operator, build_prior
 from .radon import (
     CTOperator,
     ProjectionGeometry,
@@ -121,7 +121,7 @@ def _operator_from_sinogram(cfg, sidecar):
     geometry = ProjectionGeometry(
         geo["n_angles_full"], geo["n_detectors"], geo["detector_spacing"]
     )
-    view_indices = np.asarray(sidecar["view_indices"], dtype=np.int64)
+    view_indices = np.asarray(sidecar["view_indices"])
     if cfg.n_angles_full != geometry.n_angles_full:
         raise ConfigError(
             f"config n_angles_full={cfg.n_angles_full} does not match sinogram "

@@ -11,7 +11,9 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .priors import validate_mixture
+from .radon import ProjectionGeometry, default_geometry
 from .samplers import SamplerConfig
+from .schedule import NoiseSchedule
 
 
 class ConfigError(ValueError):
@@ -67,6 +69,11 @@ class RunConfig(SamplerConfig):
         if self.prior not in ("gmm", "conv", "identity"):
             raise ConfigError(f"prior must be gmm, conv or identity, got {self.prior!r}")
         parse_gmm_components(self.gmm_components)
+        try:
+            build_geometry(self)
+            build_schedule(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not 0 < self.holdout_fraction < 1:
@@ -150,6 +157,21 @@ def build_run_config(file_values=None, overrides=None):
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, str(text), _FIELD_TYPES[key]))
     return cfg.validate()
+
+
+def build_schedule(cfg):
+    return NoiseSchedule.linear_beta(
+        num_train_steps=cfg.num_train_steps,
+        beta_start=cfg.beta_start,
+        beta_end=cfg.beta_end,
+        n_sampling_steps=cfg.n_steps,
+    )
+
+
+def build_geometry(cfg):
+    if cfg.n_detectors is None:
+        return default_geometry(cfg.nx, cfg.n_angles_full, cfg.detector_spacing)
+    return ProjectionGeometry(cfg.n_angles_full, cfg.n_detectors, cfg.detector_spacing)
 
 
 def parse_gmm_components(text):

@@ -1,30 +1,13 @@
-"""Builders wiring a RunConfig into schedule, operator and prior."""
+"""Builders wiring a RunConfig into operator and prior.
 
-from .config import parse_gmm_components
+The geometry and schedule builders live in `config`, whose validation
+runs them.
+"""
+
+from .config import build_geometry, parse_gmm_components
 from .convnet import ConvDenoiserPrior, load_weights
 from .priors import GmmScalarPrior, IdentityPrior
-from .radon import (
-    CTOperator,
-    ProjectionGeometry,
-    default_geometry,
-    uniform_view_indices,
-)
-from .schedule import NoiseSchedule
-
-
-def build_schedule(cfg):
-    return NoiseSchedule.linear_beta(
-        num_train_steps=cfg.num_train_steps,
-        beta_start=cfg.beta_start,
-        beta_end=cfg.beta_end,
-        n_sampling_steps=cfg.n_steps,
-    )
-
-
-def build_geometry(cfg):
-    if cfg.n_detectors is None:
-        return default_geometry(cfg.nx, cfg.n_angles_full, cfg.detector_spacing)
-    return ProjectionGeometry(cfg.n_angles_full, cfg.n_detectors, cfg.detector_spacing)
+from .radon import CTOperator, uniform_view_indices
 
 
 def build_operator(cfg):

@@ -7,16 +7,22 @@ Samples falling outside the grid contribute zero.  The interpolation
 weights are assembled once into a sparse matrix, so the adjoint is its
 exact transpose: scatter with the identical weights.
 
+The CSR matrices are built and applied with scipy's compiled sparsetools
+routines, loaded without importing `scipy.sparse` and its dependencies.
+
 A 3D volume (nz, ny, nx) is projected slice by slice with a shared
 geometry; sinograms are stored as (n_views, n_detectors, nz).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .rng import Xoshiro256PP
 from .volume import load_raw, save_raw
@@ -57,17 +63,79 @@ def uniform_view_indices(n_angles_full, n_views):
     return (np.arange(n_views) * n_angles_full) // n_views
 
 
+def _load_sparsetools():
+    """scipy's compiled `scipy.sparse._sparsetools`, without `import scipy.sparse`.
+
+    The extension is registered under scipy's own module name, so a later
+    `import scipy.sparse` reuses it.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    directory = os.path.join(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            sys.modules[name] = module
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled scipy _sparsetools extension in {directory}")
+
+
+_sparsetools = _load_sparsetools()
+
+
+class _Csr(NamedTuple):
+    """CSR arrays as scipy lays them out: row i is indices/data[indptr[i]:indptr[i+1]]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
+def _index_dtype(*sizes):
+    """int32, the index type scipy picks, unless a size passes its range."""
+    return np.int64 if max(sizes) > np.iinfo(np.int32).max else np.int32
+
+
+def _coo_tocsr(m, n, rows, cols, vals):
+    """Unsorted CSR of COO triplets; entries of a row keep their input order."""
+    idx = _index_dtype(m, n, len(vals))
+    indptr = np.empty(m + 1, dtype=idx)
+    indices = np.empty(len(vals), dtype=idx)
+    data = np.empty(len(vals))
+    _sparsetools.coo_tocsr(m, n, len(vals), rows.astype(idx), cols.astype(idx),
+                           vals, indptr, indices, data)
+    return indptr, indices, data
+
+
 def _ray_matrix(nx, ny, geometry, angle_indices):
-    """Sparse (len(angle_indices)*n_det, ny*nx) interpolation-weight matrix."""
+    """CSR (len(angle_indices)*n_det, ny*nx) interpolation-weight matrix.
+
+    Each view's triplets become a CSR row block as soon as they are sampled,
+    so no more than one view's triplets exist at a time.  Views own disjoint
+    row blocks and `coo_tocsr` keeps input order within a row, so stacking
+    the blocks gives the arrays of one `coo_tocsr` over all views.  The
+    canonicalisation after it is the sequence scipy's `coo_array.tocsr()`
+    runs, so the arrays are byte-equal to scipy's.
+    """
     n_det = geometry.n_detectors
     offsets = (np.arange(n_det) - (n_det - 1) / 2.0) * geometry.detector_spacing
     n_samples = math.ceil(math.hypot(nx, ny)) + 1
     along = np.arange(n_samples) - (n_samples - 1) / 2.0
     cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
     angles = geometry.angles
+    m, n = len(angle_indices) * n_det, ny * nx
 
-    rows, cols, vals = [], [], []
-    for local, a_idx in enumerate(angle_indices):
+    row_counts, indices, data = [], [], []
+    for a_idx in angle_indices:
         cos_t, sin_t = np.cos(angles[a_idx]), np.sin(angles[a_idx])
         px = cx + offsets[:, None] * cos_t - along[None, :] * sin_t
         py = cy + offsets[:, None] * sin_t + along[None, :] * cos_t
@@ -75,9 +143,8 @@ def _ray_matrix(nx, ny, geometry, angle_indices):
         iy0 = np.floor(py).astype(np.int64)
         fx = px - ix0
         fy = py - iy0
-        row = np.broadcast_to(
-            local * n_det + np.arange(n_det)[:, None], px.shape
-        )
+        row = np.broadcast_to(np.arange(n_det)[:, None], px.shape)
+        rows, cols, vals = [], [], []
         for dx, dy, wt in (
             (0, 0, (1 - fx) * (1 - fy)),
             (1, 0, fx * (1 - fy)),
@@ -89,12 +156,35 @@ def _ray_matrix(nx, ny, geometry, angle_indices):
             rows.append(row[ok])
             cols.append((iy * nx + ix)[ok])
             vals.append(wt[ok])
+        block = _coo_tocsr(n_det, n, np.concatenate(rows), np.concatenate(cols),
+                           np.concatenate(vals))
+        row_counts.append(np.diff(block[0]))
+        indices.append(block[1])
+        data.append(block[2])
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(angle_indices) * n_det, ny * nx),
-    )
-    return matrix.tocsr()
+    idx = _index_dtype(m, n, sum(map(len, data)))
+    indptr = np.zeros(m + 1, dtype=idx)
+    np.cumsum(np.concatenate(row_counts), out=indptr[1:])
+    indices = np.concatenate(indices, dtype=idx)
+    data = np.concatenate(data)
+    if not _sparsetools.csr_has_canonical_format(m, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
+            _sparsetools.csr_sort_indices(m, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
+        nnz = int(indptr[-1])
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return _Csr(indptr, indices, data, (m, n))
+
+
+def _transpose(matrix):
+    """CSR of the transpose, by the `csr_tocsc` call scipy's `.T.tocsr()` runs."""
+    m, n = matrix.shape
+    indptr = np.empty(n + 1, dtype=matrix.indptr.dtype)
+    indices = np.empty_like(matrix.indices)
+    data = np.empty_like(matrix.data)
+    _sparsetools.csr_tocsc(m, n, matrix.indptr, matrix.indices, matrix.data,
+                           indptr, indices, data)
+    return _Csr(indptr, indices, data, (n, m))
 
 
 def _csr_matmul(matrix, x, out):
@@ -134,9 +224,14 @@ class CTOperator:
             raise ValueError(f"empty volume ({nz}, {ny}, {nx})")
         if view_indices is None:
             view_indices = np.arange(geometry.n_angles_full)
-        view_indices = np.asarray(view_indices, dtype=np.int64)
+        view_indices = np.asarray(view_indices)
         if view_indices.ndim != 1 or len(view_indices) == 0:
             raise ValueError("view_indices must be a non-empty 1D index array")
+        if not np.issubdtype(view_indices.dtype, np.integer):
+            raise ValueError(
+                f"view_indices must be integers, got dtype {view_indices.dtype}"
+            )
+        view_indices = view_indices.astype(np.int64)
         if len(np.unique(view_indices)) != len(view_indices):
             raise ValueError("view_indices must be distinct")
         if view_indices.min() < 0 or view_indices.max() >= geometry.n_angles_full:
@@ -147,7 +242,7 @@ class CTOperator:
         self.geometry = geometry
         self.view_indices = view_indices
         self._matrix = _ray_matrix(nx, ny, geometry, view_indices)
-        self._matrix_t = self._matrix.T.tocsr()
+        self._matrix_t = _transpose(self._matrix)
         self._staging = np.empty((ny * nx, nz))
 
     @property

@@ -94,10 +94,13 @@ def test_invalid_dims_exit_code_and_no_file(tmp_path):
 
 
 def test_sampler_keys_validated_at_load(tmp_path):
-    # Every command validates the full config, sampler and prior keys included.
+    # Every command validates the full config: sampler, prior, geometry and
+    # schedule keys included.
     for override in ("tau=0", "gmm_components=garbage",
                      "gmm_components=0.5:0:0.1",  # weights sum to 0.5
-                     "gmm_components=1:nan:0.1"):
+                     "gmm_components=1:nan:0.1",
+                     "n_detectors=0", "n_detectors=-3", "detector_spacing=0",
+                     "beta_end=2", "num_train_steps=0"):
         args = BASE + paths_args(tmp_path) + ["--set", override]
         assert main(["generate-phantom"] + args) == 1, override
         assert not (tmp_path / "phantom.f64").exists(), override

@@ -1,8 +1,11 @@
 """Package-wide lints: every public export has a caller outside its own tests,
-only `volume.py` reads or writes raw arrays and JSON, and only `radon.py`
-imports private scipy names."""
+only `volume.py` reads or writes raw arrays and JSON, no module imports
+`scipy.sparse`, and only `radon.py` names its compiled `_sparsetools`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,22 +72,37 @@ def test_only_volume_module_does_file_format_io():
     assert not offenders, f"raw-array/JSON IO outside volume.py: {offenders}"
 
 
-def private_scipy_imports(path):
-    """Imported dotted names under `scipy` with a `_`-prefixed part after it."""
+def imported_modules(path):
+    """Absolute module names a file imports, `from a import b` giving `a.b`."""
     names = set()
     for node in nodes(path):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
             names.update(f"{node.module}.{alias.name}" for alias in node.names)
-    return {name for name in names if name.split(".")[0] == "scipy"
-            and any(part.startswith("_") for part in name.split(".")[1:])}
+    return names
 
 
-def test_only_radon_module_imports_private_scipy_names():
-    owner = PACKAGE / "radon.py"
-    assert private_scipy_imports(owner) == {"scipy.sparse._sparsetools"}
-    offenders = {p.name: sorted(private_scipy_imports(p))
-                 for p in sorted(PACKAGE.glob("*.py")) if p != owner}
+def test_no_module_imports_scipy_sparse():
+    # radon.py loads scipy's compiled sparsetools extension directly;
+    # importing scipy.sparse would pull in ~300 modules and ~20 MB.
+    offenders = {p.name: sorted(name for name in imported_modules(p)
+                                if name == "scipy.sparse"
+                                or name.startswith("scipy.sparse."))
+                 for p in sorted(PACKAGE.glob("*.py"))}
     offenders = {name: names for name, names in offenders.items() if names}
-    assert not offenders, f"private scipy imports outside radon.py: {offenders}"
+    assert not offenders, f"scipy.sparse imports: {offenders}"
+    namers = sorted(p.name for p in PACKAGE.glob("*.py")
+                    if "_sparsetools" in p.read_text())
+    assert namers == ["radon.py"], namers
+
+
+def test_import_loads_no_scipy_sparse():
+    code = ("import sys, nerdct; print(sorted(m for m in sys.modules if m in "
+            "('scipy.sparse', 'numpy.f2py', 'numpy.testing')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    assert done.stdout.strip() == "[]"

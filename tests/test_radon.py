@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from nerdct import (
     save_sinogram,
     uniform_view_indices,
 )
+from nerdct import radon
 from nerdct.rng import Xoshiro256PP
 
 
@@ -72,13 +74,54 @@ def test_projector_bytes_equal_scipy_product(nz):
     rng = Xoshiro256PP(7)
     vol = rng.normal_array((nz, 16, 16))
     sino = rng.normal_array(op.sinogram_shape)
+    matrix, matrix_t = (sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
+                        for m in (op._matrix, op._matrix_t))
     for v in (vol, vol.astype(np.float32), np.round(10 * vol).astype(np.int64)):
-        expected = op._matrix @ v.reshape(nz, -1).T
+        expected = matrix @ v.reshape(nz, -1).T
         got = op.forward(v)
         assert got.dtype == np.float64 and got.shape == op.sinogram_shape
         assert got.tobytes() == expected.tobytes()
-    expected = np.ascontiguousarray((op._matrix_t @ sino.reshape(-1, nz)).T)
+    expected = np.ascontiguousarray((matrix_t @ sino.reshape(-1, nz)).T)
     assert op.adjoint(sino).tobytes() == expected.tobytes()
+
+
+def csr_bytes(matrix):
+    return [(a.dtype, a.tobytes()) for a in (matrix.indptr, matrix.indices, matrix.data)]
+
+
+@pytest.mark.parametrize("geom, views, hits", [
+    (ProjectionGeometry(n_angles_full=12, n_detectors=23), [0, 5, 7, 11], True),
+    (default_geometry(16, 12), [3], True),
+    (default_geometry(16, 12), None, True),
+    (ProjectionGeometry(n_angles_full=12, n_detectors=2, detector_spacing=40.0),
+     [0, 5], False),  # every ray misses the grid
+])
+def test_csr_build_bytes_equal_scipy(monkeypatch, geom, views, hits):
+    # The operator's CSR arrays of A and A^T, index dtype included, are those
+    # of scipy's coo_matrix(...).tocsr() and .T.tocsr() over the same
+    # triplets, which hold duplicate (row, column) entries wherever a ray
+    # meets the grid.  (coo_array keeps int64 indices; coo_matrix picks
+    # int32 at this size, as the operator does.)
+    triplets = []
+    build_block = radon._coo_tocsr
+
+    def record(m, n, rows, cols, vals):
+        triplets.append((rows + len(triplets) * m, cols, vals))
+        return build_block(m, n, rows, cols, vals)
+
+    monkeypatch.setattr(radon, "_coo_tocsr", record)
+    op = CTOperator(16, 16, 2, geom, views)
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*triplets))
+    expected = sp.coo_matrix((vals, (rows, cols)), shape=op._matrix.shape).tocsr()
+    assert len(triplets) == op.n_views
+    assert op._matrix.shape == expected.shape
+    assert csr_bytes(op._matrix) == csr_bytes(expected)
+    assert op._matrix_t.shape == expected.T.shape
+    assert csr_bytes(op._matrix_t) == csr_bytes(expected.T.tocsr())
+    if hits:  # neighbouring samples share voxels: duplicates were summed
+        assert len(rows) > op._matrix.data.size > 0
+    else:
+        assert len(rows) == op._matrix.data.size == 0
 
 
 def test_adjoint_into_out_buffer():
@@ -174,6 +217,9 @@ def test_operator_validation():
         CTOperator(16, 16, 2, geom, [0, 0, 1])  # duplicate views
     with pytest.raises(ValueError):
         CTOperator(16, 16, 2, geom, [0, 10])  # out of range
+    for views in ([0.5, 2.7], [True, False]):  # not integers: no silent cast
+        with pytest.raises(ValueError, match="integers"):
+            CTOperator(16, 16, 2, geom, views)
 
 
 def test_default_geometry_detector_count():
