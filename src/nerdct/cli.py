@@ -118,9 +118,14 @@ def cmd_simulate(cfg):
 
 def _operator_from_sinogram(cfg, sidecar):
     geo = sidecar["geometry"]
+    if not isinstance(geo, dict):
+        raise ValueError(f"sinogram geometry must be a JSON object, got {geo!r}")
     geometry = ProjectionGeometry(
         geo["n_angles_full"], geo["n_detectors"], geo["detector_spacing"]
     )
+    if not isinstance(sidecar["view_indices"], list):
+        raise ValueError(
+            f"sinogram view_indices must be a list, got {sidecar['view_indices']!r}")
     view_indices = np.asarray(sidecar["view_indices"])
     if cfg.n_angles_full != geometry.n_angles_full:
         raise ConfigError(

@@ -2,7 +2,9 @@
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments
 and blank lines ignored.  Every key has a typed default: the sampler keys
-in ``SamplerConfig``, the run keys below.  Unknown keys are rejected.
+in ``SamplerConfig``, the run keys below, and its type is the field's
+annotation; a key whose default is None reads ``none``, ``auto`` or an
+empty value as None.  Unknown keys are rejected.
 ``lambda``, ``lambda_z`` and ``lambda_couple`` are accepted as aliases for
 the lam* fields.
 """
@@ -80,8 +82,6 @@ class RunConfig(SamplerConfig):
             raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def to_dict(self):
@@ -94,16 +94,13 @@ _ALIASES = {
     "lambda_couple": "lam_couple",
 }
 
-_OPTIONAL_FLOATS = {"dds_gamma"}
-_OPTIONAL_INTS = {"n_detectors"}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(name, text, target_type):
     text = text.strip()
-    if name in _OPTIONAL_FLOATS or name in _OPTIONAL_INTS:
-        if text.lower() in ("", "none", "auto"):
-            return None
-        target_type = int if name in _OPTIONAL_INTS else float
+    if getattr(RunConfig, name) is None and text.lower() in ("", "none", "auto"):
+        return None
     try:
         if target_type is int:
             return int(text)
@@ -117,18 +114,6 @@ def _coerce(name, text, target_type):
         raise ConfigError(
             f"config key {name!r}: cannot parse {text!r} as {target_type.__name__}"
         ) from exc
-
-
-def _field_types():
-    defaults = RunConfig()
-    out = {}
-    for f in fields(RunConfig):
-        default = getattr(defaults, f.name)
-        out[f.name] = type(default) if default is not None else float
-    return out
-
-
-_FIELD_TYPES = _field_types()
 
 
 def parse_config_text(text):

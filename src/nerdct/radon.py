@@ -17,6 +17,7 @@ geometry; sinograms are stored as (n_views, n_detectors, nz).
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -37,12 +38,15 @@ class ProjectionGeometry:
     detector_spacing: float = 1.0
 
     def __post_init__(self):
-        if self.n_angles_full < 1:
-            raise ValueError(f"n_angles_full must be >= 1, got {self.n_angles_full}")
-        if self.n_detectors < 1:
-            raise ValueError(f"n_detectors must be >= 1, got {self.n_detectors}")
-        if not self.detector_spacing > 0:
-            raise ValueError(f"detector_spacing must be > 0, got {self.detector_spacing}")
+        for name in ("n_angles_full", "n_detectors"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        spacing = self.detector_spacing
+        if isinstance(spacing, bool) or not isinstance(spacing, numbers.Real) \
+                or not 0 < spacing < math.inf:
+            raise ValueError(
+                f"detector_spacing must be a finite number > 0, got {spacing!r}")
 
     @property
     def angles(self):
@@ -66,10 +70,10 @@ def uniform_view_indices(n_angles_full, n_views):
 def _load_sparsetools():
     """scipy's compiled `scipy.sparse._sparsetools`, without `import scipy.sparse`.
 
-    The extension is registered under scipy's own module name, so a later
-    `import scipy.sparse` reuses it.
+    The extension is loaded under a private name, so a later
+    `import scipy.sparse` loads and binds its own copy.
     """
-    name = "scipy.sparse._sparsetools"
+    name = "nerdct._sparsetools"
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec("scipy")

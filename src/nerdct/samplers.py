@@ -16,7 +16,8 @@ obtained:
   ball.  The primal pair (v, w) takes K joint Adam updates; u is reused
   across steps.
 * dds: plain posterior-mean denoising followed by a few ADMM iterations on
-  ||A x - y||^2 + gamma ||Dz x||_1 with a CG inner solve.
+  ||A x - y||^2 + lam_z ||Dz x||_1 with penalty rho, whose x-update runs a
+  fixed number of CG steps (Chung, Lee & Ye, arXiv 2303.05754).
 
 Every stochastic draw (the initial volume, then one noise volume per step,
 in that order) comes from the seeded stream, so two methods with the same
@@ -52,7 +53,7 @@ class SamplerConfig:
     method: str = "nerd-p"
     lam: float = 0.1            # anchor weight on ||v - x_t||^2
     lam_z: float = 0.05         # slice-axis l1 weight
-    rho: float = 1.0            # ADMM penalty (nerd-a)
+    rho: float = 1.0            # ADMM penalty (nerd-a, dds)
     lam_couple: float = 1.0     # coupling weight lam' (nerd-p)
     tau: float = 0.01           # primal step (nerd-p)
     sigma: float = 0.05         # dual step (nerd-p)
@@ -60,12 +61,8 @@ class SamplerConfig:
     inner_steps: int = 10       # Adam updates K per step
     lr: float = 1e-3
     seed: int = 0
-    dds_gamma: float = None     # defaults to lam_z
     dds_admm_iters: int = 5
-    dds_rho: float = 1.0
-    cg_tol: float = 1e-6
-    cg_max_iter: int = 30
-    pdhg_extrapolation: str = "literal"  # "literal" | "classical"
+    cg_max_iter: int = 30       # CG steps per dds ADMM iteration
 
     def validate(self):
         if self.method not in METHODS:
@@ -74,11 +71,10 @@ class SamplerConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("lam", "lam_z", "rho", "lam_couple", "dds_gamma"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        for name in ("tau", "sigma", "lr", "dds_rho", "cg_tol"):
+        for name in ("lam", "lam_z", "rho", "lam_couple"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("tau", "sigma", "lr"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("n_steps", "inner_steps"):
@@ -86,13 +82,12 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dds_admm_iters < 0:
             raise ValueError(f"dds_admm_iters must be >= 0, got {self.dds_admm_iters}")
-        if self.pdhg_extrapolation not in ("literal", "classical"):
-            raise ValueError(
-                f"pdhg_extrapolation must be 'literal' or 'classical', "
-                f"got {self.pdhg_extrapolation!r}"
-            )
         if self.cg_max_iter < 1:
             raise ValueError(f"cg_max_iter must be >= 1, got {self.cg_max_iter}")
+        if self.method == "dds" and not self.rho > 0:
+            raise ValueError(f"dds needs rho > 0, got {self.rho}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         return self
 
 
@@ -114,7 +109,6 @@ class SamplerState:
     w_dual: np.ndarray = None     # ADMM scaled dual (nerd-a)
     u: np.ndarray = None          # l-inf dual (nerd-p)
     w: np.ndarray = None          # primal image iterate (nerd-p)
-    w_bar: np.ndarray = None      # extrapolated primal (nerd-p)
     inner_losses: list = field(default_factory=list)
 
 
@@ -166,7 +160,6 @@ class Sampler:
             state.u = np.zeros(self.volume_shape)
             t_start = int(self.schedule.sampling_steps[0])
             state.w = self.prior.denoise(x, t_start)
-            state.w_bar = state.w.copy()
         return state
 
     def _resample(self, x0, t_next):
@@ -328,21 +321,18 @@ class Sampler:
     def _pdhg_estimate(self, state, t, exact):
         """nerd-p: primal-dual step with the coupling operator lam_z * Dz.
 
-        literal extrapolation re-bases w_bar on the current w before the
-        primal update ("w_bar <- w_t"); classical keeps the extrapolated
-        point from the previous step as the base.  Both set
-        w_bar = 2 w_new - w_old afterwards for the dual ascent.
+        The primal update starts from the current w ("w_bar <- w_t"), and
+        the dual ascent reads the extrapolated point 2 w_new - w.
         """
         cfg = self.config
-        base = state.w if cfg.pdhg_extrapolation == "literal" else state.w_bar
-        w_hat = base - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
+        w_hat = state.w - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
         if exact:
             v, w_new = self._solve_joint_exact(state.x, t, w_hat)
         else:
             v, w_new, state.inner_losses = self._optimize_joint(state.x, t, w_hat)
-        state.w_bar = 2.0 * w_new - state.w
+        w_bar = 2.0 * w_new - state.w
         state.u = project_linf_ball(
-            state.u + cfg.sigma * cfg.lam_z * dz_forward(state.w_bar)
+            state.u + cfg.sigma * cfg.lam_z * dz_forward(w_bar)
         )
         if not np.max(np.abs(state.u)) <= 1.0:
             raise SamplerError("dual left the unit l-inf ball")
@@ -350,15 +340,15 @@ class Sampler:
         return self.prior.denoise(v, t)
 
     def _dds_estimate(self, state, t, exact):
-        """dds: denoise, then ADMM on ||A x - y||^2 + gamma ||Dz x||_1.
+        """dds: denoise, then ADMM on ||A x - y||^2 + lam_z ||Dz x||_1.
 
-        Each ADMM iteration's x-update is a CG solve started from the
-        previous x.  There is no inner optimizer, so `exact` is unused.
+        Each ADMM iteration's x-update is cg_max_iter CG steps started from
+        the previous x; the step count, not a tolerance, ends the solve.
+        There is no inner optimizer, so `exact` is unused.
         """
         cfg = self.config
         x = self.prior.denoise(state.x, t)
-        gamma = cfg.lam_z if cfg.dds_gamma is None else cfg.dds_gamma
-        rho = cfg.dds_rho
+        rho = cfg.rho
         if self._aty2 is None:
             self._aty2 = 2.0 * self.op.adjoint(self.y)
         normal_buf, dz_buf, smooth_buf = np.empty((3,) + x.shape)
@@ -373,23 +363,15 @@ class Sampler:
 
         z = np.zeros_like(x)
         w = np.zeros_like(x)
-        residuals = []  # relative residuals of the solves that did not converge
         for _ in range(cfg.dds_admm_iters):
             rhs = self._aty2 + rho * dz_adjoint(z - w)
-            result = cg_solve(apply_op, rhs, tol=cfg.cg_tol,
-                              max_iter=cfg.cg_max_iter, x0=x)
+            result = cg_solve(apply_op, rhs, tol=0.0, max_iter=cfg.cg_max_iter, x0=x)
             if result.breakdown:
                 raise SamplerError("CG breakdown in dds data-consistency solve")
-            if not result.converged:
-                residuals.append(result.relative_residual)
             x = result.x
             dz_x = dz_forward(x)
-            z = soft_threshold(dz_x + w, gamma / rho)
+            z = soft_threshold(dz_x + w, cfg.lam_z / rho)
             w = w + dz_x - z
-        if residuals:
-            logger.warning("dds CG stopped at %d iterations in %d of %d solves, worst "
-                           "relative residual %.3e", cfg.cg_max_iter, len(residuals),
-                           cfg.dds_admm_iters, max(residuals))
         return x
 
     def step(self, state, t, t_next, resample=True, inner="adam"):

@@ -85,6 +85,9 @@ def load_raw(path, *shape_keys):
     """(array, sidecar) of a save_raw file, shaped by the sidecar's `shape_keys`."""
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError(
+            f"{path}.json: expected a JSON object, got {type(sidecar).__name__}")
     shape = tuple(sidecar[key] for key in shape_keys)
     for key, n in zip(shape_keys, shape):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:

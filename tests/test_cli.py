@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -100,7 +101,8 @@ def test_sampler_keys_validated_at_load(tmp_path):
                      "gmm_components=0.5:0:0.1",  # weights sum to 0.5
                      "gmm_components=1:nan:0.1",
                      "n_detectors=0", "n_detectors=-3", "detector_spacing=0",
-                     "beta_end=2", "num_train_steps=0"):
+                     "beta_end=2", "num_train_steps=0",
+                     "seed=-1", "seed=18446744073709551616"):  # 2**64
         args = BASE + paths_args(tmp_path) + ["--set", override]
         assert main(["generate-phantom"] + args) == 1, override
         assert not (tmp_path / "phantom.f64").exists(), override
@@ -110,9 +112,15 @@ def test_unknown_command_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    args = paths_args(tmp_path) + ["--set", "does_not_exist=1"]
-    assert main(["generate-phantom"] + args) == 1
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # The last four were sampler keys once; their work moved to lam_z, rho,
+    # cg_max_iter and nerd-p's one extrapolation.
+    for key in ("does_not_exist", "dds_gamma", "dds_rho", "cg_tol",
+                "pdhg_extrapolation"):
+        args = paths_args(tmp_path) + ["--set", f"{key}=1"]
+        assert main(["generate-phantom"] + args) == 1, key
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "phantom.f64").exists(), key
 
 
 def test_bad_method_rejected(tmp_path):
@@ -154,6 +162,27 @@ def test_bad_volume_sidecar_dims_exit_1(tmp_path, capsys, edits):
     assert main(["simulate"] + args) == 1
     assert "nz must be a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "sino.f64").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda side: {**side, "geometry": None},
+    lambda side: {**side, "view_indices": "abc"},
+    lambda side: {**side, "geometry": {**side["geometry"], "n_detectors": 23.0}},
+    lambda side: {**side, "geometry": {**side["geometry"], "detector_spacing": "x"}},
+    lambda side: {**side, "geometry": {**side["geometry"], "detector_spacing": math.inf}},
+    lambda side: [side],
+], ids=["null-geometry", "string-views", "float-detectors", "string-spacing",
+        "infinite-spacing", "list-sidecar"])
+def test_malformed_sinogram_sidecar_exit_1(tmp_path, capsys, edit):
+    args = BASE + paths_args(tmp_path)
+    assert main(["generate-phantom"] + args) == 0
+    assert main(["simulate"] + args) == 0
+    sidecar_path = tmp_path / "sino.f64.json"
+    sidecar_path.write_text(json.dumps(edit(json.loads(sidecar_path.read_text()))))
+    capsys.readouterr()
+    assert main(["reconstruct"] + args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "recon.f64").exists()
 
 
 def test_config_mismatch_with_sinogram_sidecar(tmp_path):
@@ -249,11 +278,9 @@ def test_build_run_config_aliases_and_types():
     assert cfg.lam == 0.25
     assert cfg.lam_z == 0.1
     assert cfg.n_steps == 12
-    cfg = build_run_config({}, {"dds_gamma": "none"})
-    assert cfg.dds_gamma is None
-    cfg = build_run_config({}, {"dds_gamma": "0.5", "n_detectors": "auto"})
-    assert cfg.dds_gamma == 0.5
-    assert cfg.n_detectors is None
+    for text in ("auto", "none", ""):
+        assert build_run_config({}, {"n_detectors": text}).n_detectors is None
+    assert build_run_config({}, {"n_detectors": "23"}).n_detectors == 23
 
 
 def test_parse_gmm_components():

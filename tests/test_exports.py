@@ -1,12 +1,17 @@
 """Package-wide lints: every public export has a caller outside its own tests,
 only `volume.py` reads or writes raw arrays and JSON, no module imports
-`scipy.sparse`, and only `radon.py` names its compiled `_sparsetools`."""
+`scipy.sparse`, only `radon.py` names its compiled `_sparsetools`, and
+README's config key table lists exactly the fields of `RunConfig`."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from nerdct.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nerdct"
@@ -98,11 +103,45 @@ def test_no_module_imports_scipy_sparse():
     assert namers == ["radon.py"], namers
 
 
-def test_import_loads_no_scipy_sparse():
-    code = ("import sys, nerdct; print(sorted(m for m in sys.modules if m in "
-            "('scipy.sparse', 'numpy.f2py', 'numpy.testing')))")
+def fresh_output(code):
+    """Stripped stdout of `code` run in a new interpreter that imports src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy_sparse():
+    code = ("import sys, nerdct; print(sorted(m for m in sys.modules if m in "
+            "('scipy.sparse', 'numpy.f2py', 'numpy.testing')))")
+    assert fresh_output(code) == "[]"
+
+
+def test_scipy_sparse_imported_after_nerdct_is_whole():
+    # nerdct's private copy of the extension must not stand in for scipy's.
+    code = ("import nerdct, numpy as np, scipy.sparse as sp; "
+            "m = sp.csr_array(np.array([[1.0, 2.0], [0.0, 3.0]])); "
+            "print(sp._sparsetools.__name__, (m @ np.ones(2)).tolist(), "
+            "m.T.tocsr().toarray().tolist())")
+    assert fresh_output(code) == (
+        "scipy.sparse._sparsetools [3.0, 3.0] [[1.0, 0.0], [2.0, 3.0]]")
+
+
+def readme_config_keys():
+    """Key names in README's *Config keys* table: its backticked words outside
+    parentheses, so value notes such as (`gmm`/`conv`) are left out."""
+    section = (ROOT / "README.md").read_text().split("### Config keys", 1)[1]
+    keys = set()
+    for line in section.split("\n#", 1)[0].splitlines():
+        cells = line.split("|")
+        if len(cells) == 4:
+            text, count = cells[2], 1
+            while count:  # innermost parentheses first
+                text, count = re.subn(r"\([^()]*\)", "", text)
+            keys.update(re.findall(r"`(\w+)`", text))
+    return keys
+
+
+def test_readme_config_keys_match_run_config():
+    assert readme_config_keys() == {f.name for f in fields(RunConfig)}
