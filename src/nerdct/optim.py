@@ -76,11 +76,6 @@ class CGResult:
     residual_norms: list
     breakdown: bool = False
 
-    @property
-    def relative_residual(self):
-        first = self.residual_norms[0]
-        return 0.0 if first == 0.0 else self.residual_norms[-1] / first
-
 
 def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
     """Matrix-free CG for SPD operators.

@@ -146,7 +146,3 @@ class GmmScalarPrior(DenoiserPrior):
     def denoise_and_vjp(self, x_t, t):
         x0, deriv = self._tiled(x_t, t, with_deriv=True)
         return x0, lambda cotangent: cotangent * deriv
-
-    def posterior_mean_derivative(self, x_t, t):
-        """Elementwise d denoise / d x_t (diagonal Jacobian): the VJP of ones."""
-        return self.denoise_and_vjp(x_t, t)[1](1.0)

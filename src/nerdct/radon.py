@@ -7,8 +7,10 @@ Samples falling outside the grid contribute zero.  The interpolation
 weights are assembled once into a sparse matrix, so the adjoint is its
 exact transpose: scatter with the identical weights.
 
-The CSR matrices are built and applied with scipy's compiled sparsetools
+The CSR matrix is built and applied with scipy's compiled sparsetools
 routines, loaded without importing `scipy.sparse` and its dependencies.
+The adjoint reads the same arrays as the CSC of the transpose, the
+scatter scipy's own `A.T @ x` runs, so the weights are stored once.
 
 A 3D volume (nz, ny, nx) is projected slice by slice with a shared
 geometry; sinograms are stored as (n_views, n_detectors, nz).
@@ -180,34 +182,6 @@ def _ray_matrix(nx, ny, geometry, angle_indices):
     return _Csr(indptr, indices, data, (m, n))
 
 
-def _transpose(matrix):
-    """CSR of the transpose, by the `csr_tocsc` call scipy's `.T.tocsr()` runs."""
-    m, n = matrix.shape
-    indptr = np.empty(n + 1, dtype=matrix.indptr.dtype)
-    indices = np.empty_like(matrix.indices)
-    data = np.empty_like(matrix.data)
-    _sparsetools.csr_tocsc(m, n, matrix.indptr, matrix.indices, matrix.data,
-                           indptr, indices, data)
-    return _Csr(indptr, indices, data, (n, m))
-
-
-def _csr_matmul(matrix, x, out):
-    """out = matrix @ x for C-contiguous float64 blocks x (N, k) and out (M, k).
-
-    Runs the sparsetools routine that scipy's own `matrix @ x` runs, with the
-    same arguments (csr_matvec for k = 1, csr_matvecs otherwise), but into
-    the caller's buffer instead of a fresh one, so the bits are scipy's.
-    """
-    out.fill(0.0)
-    m, n = matrix.shape
-    if x.shape[1] == 1:
-        _sparsetools.csr_matvec(m, n, matrix.indptr, matrix.indices, matrix.data,
-                                x.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(m, n, x.shape[1], matrix.indptr, matrix.indices,
-                                 matrix.data, x.ravel(), out.ravel())
-
-
 class CTOperator:
     """Forward/adjoint projector for a volume, optionally view-subsampled.
 
@@ -218,7 +192,8 @@ class CTOperator:
     Both directions go through one (ny*nx, nz) staging buffer that the
     operator owns: `forward` copies the volume into it, `adjoint` runs the
     product into it.  So one operator must not be called from two threads
-    at once.
+    at once.  The products are the sparsetools calls behind scipy's `A @ x`
+    and `A.T @ x`, so their bits are scipy's.
     """
 
     def __init__(self, nx, ny, nz, geometry, view_indices=None):
@@ -246,7 +221,6 @@ class CTOperator:
         self.geometry = geometry
         self.view_indices = view_indices
         self._matrix = _ray_matrix(nx, ny, geometry, view_indices)
-        self._matrix_t = _transpose(self._matrix)
         self._staging = np.empty((ny * nx, nz))
 
     @property
@@ -264,8 +238,10 @@ class CTOperator:
                 f"expected volume {(self.nz, self.ny, self.nx)}, got {vol.shape}"
             )
         np.copyto(self._staging.T, vol.reshape(self.nz, self.ny * self.nx))
-        sino = np.empty(self.sinogram_shape)
-        _csr_matmul(self._matrix, self._staging, sino.reshape(-1, self.nz))
+        sino = np.zeros(self.sinogram_shape)
+        a = self._matrix
+        _sparsetools.csr_matvecs(*a.shape, self.nz, a.indptr, a.indices, a.data,
+                                 self._staging.ravel(), sino.ravel())
         return sino
 
     def adjoint(self, sino, out=None):
@@ -287,8 +263,11 @@ class CTOperator:
                 f"out must be a C-contiguous float64 {shape} array, got "
                 f"{out.dtype} {out.shape}"
             )
-        rows = np.ascontiguousarray(sino, dtype=np.float64).reshape(-1, self.nz)
-        _csr_matmul(self._matrix_t, rows, self._staging)
+        rows = np.ascontiguousarray(sino, dtype=np.float64).ravel()
+        self._staging.fill(0.0)
+        a = self._matrix
+        _sparsetools.csc_matvecs(*a.shape[::-1], self.nz, a.indptr, a.indices,
+                                 a.data, rows, self._staging.ravel())
         np.copyto(out.reshape(self.nz, -1), self._staging.T)
         return out
 
@@ -334,4 +313,7 @@ def save_sinogram(path, sino, geometry, view_indices, sigma_y=None, seed=None,
 
 def load_sinogram(path):
     """Load a sinogram written by save_sinogram; returns (sino, sidecar)."""
-    return load_raw(path, "n_views", "n_detectors", "nz")
+    sino, sidecar = load_raw(path, "n_views", "n_detectors", "nz")
+    if not np.all(np.isfinite(sino)):
+        raise ValueError("sinogram contains non-finite entries")
+    return sino, sidecar

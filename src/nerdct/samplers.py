@@ -387,9 +387,6 @@ class Sampler:
             state.x = self._resample(state.x0, t_next)
         return state.x0
 
-    # The per-method names the acceptance suite calls.
-    nerd_a_step = nerd_p_step = step
-
     # --------------------------------------------------------------- run
 
     def run(self):

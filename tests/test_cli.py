@@ -147,6 +147,23 @@ def test_corrupted_sinogram_rejected(tmp_path):
     assert main(["reconstruct"] + args) == 1
 
 
+@pytest.mark.parametrize("method", ["sitcom", "nerd-a", "nerd-p", "dds"])
+def test_non_finite_sinogram_exit_1(tmp_path, capsys, method):
+    # A NaN at a detector that no ray weight reads: without the load check
+    # dds ran to the end with a NaN data residual and the others exited 2.
+    args = BASE + paths_args(tmp_path)
+    assert main(["generate-phantom"] + args) == 0
+    assert main(["simulate"] + args) == 0
+    sino = np.fromfile(tmp_path / "sino.f64", dtype="<f8")
+    sino[5] = np.nan
+    sino.tofile(tmp_path / "sino.f64")
+    capsys.readouterr()
+    assert main(["reconstruct", "--method", method] + args) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "recon.f64").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("edits", [
     {"nz": 1.0}, {"nz": True}, {"nz": -1, "ny": -16},
 ])

@@ -225,7 +225,7 @@ def test_denoise_and_vjp_bit_identical(case, t):
         assert np.array_equal(x0, ref_x0)
         assert np.array_equal(grad, cot * ref_deriv)
         assert np.array_equal(prior.input_vjp(x, t, cot), grad)
-        assert np.array_equal(prior.posterior_mean_derivative(x, t), ref_deriv)
+        assert np.array_equal(prior.input_vjp(x, t, np.ones_like(x)), ref_deriv)
     assert np.all(np.isfinite(x0)) and np.all(np.isfinite(grad))
     assert vars(prior).keys() == before.keys()
     assert all(vars(prior)[key] is value for key, value in before.items())

@@ -66,23 +66,29 @@ def test_adjoint_dot_product_identity():
 
 @pytest.mark.parametrize("nz", [1, 3])
 def test_projector_bytes_equal_scipy_product(nz):
-    # forward/adjoint run scipy's own CSR routine into their own buffers;
-    # the bytes must stay those of `matrix @ x` (one column takes scipy's
-    # single-vector routine).  Real inputs of any dtype give float64.
+    # forward/adjoint run scipy's own sparsetools routines into their own
+    # buffers; the bytes must stay those of `A @ x` and of `A.T @ x`, the
+    # CSC scatter over A's own arrays, and equal those of the transposed
+    # CSR product `A.T.tocsr() @ x`.  One column must match scipy's
+    # single-vector routines too.  Real inputs of any dtype give float64.
     geom = ProjectionGeometry(n_angles_full=12, n_detectors=23)
     op = CTOperator(16, 16, nz, geom, uniform_view_indices(12, 5))
     rng = Xoshiro256PP(7)
     vol = rng.normal_array((nz, 16, 16))
     sino = rng.normal_array(op.sinogram_shape)
-    matrix, matrix_t = (sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
-                        for m in (op._matrix, op._matrix_t))
+    m = op._matrix
+    matrix = sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
     for v in (vol, vol.astype(np.float32), np.round(10 * vol).astype(np.int64)):
         expected = matrix @ v.reshape(nz, -1).T
         got = op.forward(v)
         assert got.dtype == np.float64 and got.shape == op.sinogram_shape
         assert got.tobytes() == expected.tobytes()
-    expected = np.ascontiguousarray((matrix_t @ sino.reshape(-1, nz)).T)
-    assert op.adjoint(sino).tobytes() == expected.tobytes()
+    if nz == 1:
+        assert op.forward(vol).tobytes() == (matrix @ vol.ravel()).tobytes()
+    rows = sino.reshape(-1, nz)
+    got = op.adjoint(sino).tobytes()
+    assert got == np.ascontiguousarray((matrix.T @ rows).T).tobytes()
+    assert got == np.ascontiguousarray((matrix.T.tocsr() @ rows).T).tobytes()
 
 
 def csr_bytes(matrix):
@@ -97,11 +103,11 @@ def csr_bytes(matrix):
      [0, 5], False),  # every ray misses the grid
 ])
 def test_csr_build_bytes_equal_scipy(monkeypatch, geom, views, hits):
-    # The operator's CSR arrays of A and A^T, index dtype included, are those
-    # of scipy's coo_matrix(...).tocsr() and .T.tocsr() over the same
-    # triplets, which hold duplicate (row, column) entries wherever a ray
-    # meets the grid.  (coo_array keeps int64 indices; coo_matrix picks
-    # int32 at this size, as the operator does.)
+    # The operator's CSR arrays of A, index dtype included, are those of
+    # scipy's coo_matrix(...).tocsr() over the same triplets, which hold
+    # duplicate (row, column) entries wherever a ray meets the grid.
+    # (coo_array keeps int64 indices; coo_matrix picks int32 at this size,
+    # as the operator does.)
     triplets = []
     build_block = radon._coo_tocsr
 
@@ -116,8 +122,6 @@ def test_csr_build_bytes_equal_scipy(monkeypatch, geom, views, hits):
     assert len(triplets) == op.n_views
     assert op._matrix.shape == expected.shape
     assert csr_bytes(op._matrix) == csr_bytes(expected)
-    assert op._matrix_t.shape == expected.T.shape
-    assert csr_bytes(op._matrix_t) == csr_bytes(expected.T.tocsr())
     if hits:  # neighbouring samples share voxels: duplicates were summed
         assert len(rows) > op._matrix.data.size > 0
     else:
