@@ -4,6 +4,8 @@ from .config import (
     ConfigError,
     RunConfig,
     build_geometry,
+    build_operator,
+    build_prior,
     build_run_config,
     build_schedule,
     parse_gmm_components,
@@ -28,7 +30,6 @@ from .optim import (
     soft_threshold,
 )
 from .phantom import SHEPP_LOGAN_ELLIPSOIDS, Ellipsoid, shepp_logan_3d
-from .pipeline import build_operator, build_prior
 from .priors import DenoiserPrior, GmmScalarPrior, IdentityPrior
 from .radon import (
     CTOperator,

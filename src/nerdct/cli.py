@@ -13,11 +13,17 @@ import sys
 import numpy as np
 
 from . import convnet
-from .config import ConfigError, build_run_config, build_schedule, parse_config_text
+from .config import (
+    ConfigError,
+    build_operator,
+    build_prior,
+    build_run_config,
+    build_schedule,
+    parse_config_text,
+)
 from .metrics import evaluate_volume
 from .optim import NonFiniteGradientError
 from .phantom import shepp_logan_3d
-from .pipeline import build_operator, build_prior
 from .radon import (
     CTOperator,
     ProjectionGeometry,

@@ -6,14 +6,16 @@ in ``SamplerConfig``, the run keys below, and its type is the field's
 annotation; a key whose default is None reads ``none``, ``auto`` or an
 empty value as None.  Unknown keys are rejected.
 ``lambda``, ``lambda_z`` and ``lambda_couple`` are accepted as aliases for
-the lam* fields.
+the lam* fields.  The builders at the end wire a RunConfig into geometry,
+schedule, operator and prior; validation runs the first two.
 """
 
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .priors import validate_mixture
-from .radon import ProjectionGeometry, default_geometry
+from .convnet import ConvDenoiserPrior, load_weights
+from .priors import GmmScalarPrior, IdentityPrior, validate_mixture
+from .radon import CTOperator, ProjectionGeometry, default_geometry, uniform_view_indices
 from .samplers import SamplerConfig
 from .schedule import NoiseSchedule
 
@@ -61,6 +63,8 @@ class RunConfig(SamplerConfig):
         for name in ("nx", "ny", "nz"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.nx != self.ny:
+            raise ConfigError(f"axial slices must be square, got nx={self.nx}, ny={self.ny}")
         if self.sigma_y < 0:
             raise ConfigError(f"sigma_y must be >= 0, got {self.sigma_y}")
         if not 1 <= self.n_views <= self.n_angles_full:
@@ -78,6 +82,8 @@ class RunConfig(SamplerConfig):
             raise ConfigError(str(exc)) from exc
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if not self.train_lr > 0:
+            raise ConfigError(f"train_lr must be > 0, got {self.train_lr}")
         if not 0 < self.holdout_fraction < 1:
             raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
@@ -157,6 +163,22 @@ def build_geometry(cfg):
     if cfg.n_detectors is None:
         return default_geometry(cfg.nx, cfg.n_angles_full, cfg.detector_spacing)
     return ProjectionGeometry(cfg.n_angles_full, cfg.n_detectors, cfg.detector_spacing)
+
+
+def build_operator(cfg):
+    geometry = build_geometry(cfg)
+    view_indices = uniform_view_indices(geometry.n_angles_full, cfg.n_views)
+    return CTOperator(cfg.nx, cfg.ny, cfg.nz, geometry, view_indices)
+
+
+def build_prior(cfg, schedule):
+    if cfg.prior == "identity":
+        return IdentityPrior()
+    if cfg.prior == "gmm":
+        weights, means, stds = parse_gmm_components(cfg.gmm_components)
+        return GmmScalarPrior(schedule, weights, means, stds)
+    layers, _ = load_weights(cfg.weights_path)
+    return ConvDenoiserPrior(schedule, layers)
 
 
 def parse_gmm_components(text):

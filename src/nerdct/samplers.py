@@ -24,6 +24,7 @@ in that order) comes from the seeded stream, so two methods with the same
 seed consume identical noise realizations.
 """
 
+import functools
 import logging
 import math
 import time
@@ -137,9 +138,8 @@ class Sampler:
         self.ground_truth = ground_truth
         self.rng = Xoshiro256PP(config.seed)
         self.volume_shape = (operator.nz, operator.ny, operator.nx)
-        self._aty2 = None
-        # sitcom is nerd-a with the ADMM split switched off.
-        self.rho = 0.0 if config.method == "sitcom" else config.rho
+        # Only nerd-a and dds run the ADMM split; sitcom is nerd-a without it.
+        self.rho = config.rho if config.method in ("nerd-a", "dds") else 0.0
         self._estimate = {
             "sitcom": self._admm_estimate,
             "nerd-a": self._admm_estimate,
@@ -210,31 +210,6 @@ class Sampler:
             v = adam_step(adam, v, grad)
         return v, losses
 
-    def _solve_input_exact(self, x_t, t, z, w_dual):
-        """Exact minimizer of the nerd-a inner quadratic (linear priors)."""
-        if not self.prior.is_linear:
-            raise SamplerError("exact inner solves need a linear prior")
-        cfg = self.config
-
-        def apply_op(v):
-            out = 2.0 * self.op.adjoint(self.op.forward(v))
-            if self.rho != 0.0:
-                out += self.rho * dz_adjoint(dz_forward(v))
-            if cfg.lam != 0.0:
-                out += 2.0 * cfg.lam * v
-            return out
-
-        rhs = 2.0 * self.op.adjoint(self.y)
-        if self.rho != 0.0:
-            rhs += self.rho * dz_adjoint(z - w_dual)
-        if cfg.lam != 0.0:
-            rhs += 2.0 * cfg.lam * x_t
-        result = cg_solve(apply_op, rhs, tol=_EXACT_TOL, max_iter=_EXACT_MAX_ITER,
-                          x0=x_t)
-        if result.breakdown:
-            raise SamplerError("CG breakdown in exact inner solve")
-        return result.x
-
     def _optimize_joint(self, x_t, t, w_hat):
         """K joint Adam updates for nerd-p, from v = x_t, w = w_hat.
 
@@ -270,30 +245,54 @@ class Sampler:
         v, w = pair
         return v, w, losses
 
-    def _solve_joint_exact(self, x_t, t, w_hat):
-        """Exact minimizer of the nerd-p joint quadratic (linear priors)."""
-        if not self.prior.is_linear:
-            raise SamplerError("exact inner solves need a linear prior")
-        cfg = self.config
+    @functools.cached_property
+    def _aty2(self):
+        return 2.0 * self.op.adjoint(self.y)
 
-        def apply_op(pair):
-            v, w = pair
-            couple = v - w
-            out_v = 2.0 * cfg.lam_couple * couple + 2.0 * cfg.lam * v
-            out_w = (
-                2.0 * self.op.adjoint(self.op.forward(w))
-                + w / cfg.tau
-                - 2.0 * cfg.lam_couple * couple
-            )
-            return np.stack([out_v, out_w])
+    @functools.cached_property
+    def _normal_buffers(self):
+        return np.empty((3,) + self.volume_shape)
 
-        rhs = np.stack([2.0 * cfg.lam * x_t,
-                        2.0 * self.op.adjoint(self.y) + w_hat / cfg.tau])
-        result = cg_solve(apply_op, rhs, tol=_EXACT_TOL, max_iter=_EXACT_MAX_ITER,
-                          x0=np.stack([x_t, w_hat]))
+    def _normal_solve(self, start, z=None, w=None, lam=0.0, anchor=None,
+                      tol=_EXACT_TOL, max_iter=_EXACT_MAX_ITER):
+        """CG from `start` on ||A x - y||^2 + lam ||x - anchor||^2
+        + (rho/2) ||Dz x - z + w||^2 through its normal equation
+
+            (2 A^T A + rho Dz^T Dz + 2 lam I) x
+                = 2 A^T y + rho Dz^T (z - w) + 2 lam anchor.
+
+        rho is the run's ADMM penalty (0 outside nerd-a and dds).  The
+        operator writes into three buffers allocated once per run.
+        """
+        rho = self.rho
+        normal_buf, dz_buf, smooth_buf = self._normal_buffers
+
+        def apply_op(v):
+            out = self.op.adjoint(self.op.forward(v), out=normal_buf)
+            out *= 2.0
+            if rho != 0.0:
+                smooth = dz_adjoint(dz_forward(v, out=dz_buf), out=smooth_buf)
+                smooth *= rho
+                out += smooth
+            if lam != 0.0:
+                out += np.multiply(2.0 * lam, v, out=smooth_buf)
+            return out
+
+        rhs = self._aty2
+        if rho != 0.0:
+            rhs = rhs + rho * dz_adjoint(z - w)
+        if lam != 0.0:
+            rhs = rhs + 2.0 * lam * anchor
+        result = cg_solve(apply_op, rhs, tol=tol, max_iter=max_iter, x0=start)
         if result.breakdown:
-            raise SamplerError("CG breakdown in exact joint solve")
-        return result.x[0], result.x[1]
+            raise SamplerError("CG breakdown in normal-equation solve")
+        return result.x
+
+    def _split_update(self, x, z, w):
+        """ADMM z- and scaled dual step on the split z = Dz x; returns (z, w)."""
+        dz_x = dz_forward(x)
+        z = soft_threshold(dz_x + w, self.config.lam_z / self.rho)
+        return z, w + dz_x - z
 
     # ------------------------------------------------------------- steps
 
@@ -307,15 +306,14 @@ class Sampler:
         With rho = 0 the penalty and steps 3-4 drop out, which is sitcom.
         """
         if exact:
-            v = self._solve_input_exact(state.x, t, state.z, state.w_dual)
+            v = self._normal_solve(state.x, state.z, state.w_dual,
+                                   lam=self.config.lam, anchor=state.x)
         else:
             v, state.inner_losses = self._optimize_input(state.x, t, state.z,
                                                          state.w_dual)
         x0 = self.prior.denoise(v, t)
         if self.rho != 0.0:
-            dz_x0 = dz_forward(x0)
-            state.z = soft_threshold(dz_x0 + state.w_dual, self.config.lam_z / self.rho)
-            state.w_dual = state.w_dual + dz_x0 - state.z
+            state.z, state.w_dual = self._split_update(x0, state.z, state.w_dual)
         return x0
 
     def _pdhg_estimate(self, state, t, exact):
@@ -323,11 +321,22 @@ class Sampler:
 
         The primal update starts from the current w ("w_bar <- w_t"), and
         the dual ascent reads the extrapolated point 2 w_new - w.
+
+        With a linear prior the exact joint minimizer has v = (lam x_t +
+        lam' w) / (lam + lam') in closed form, which leaves one normal solve
+        in w: the anchor terms ||w - w_hat||^2 / (2 tau) and
+        (lam lam' / (lam + lam')) ||w - x_t||^2 merge into one.
         """
         cfg = self.config
         w_hat = state.w - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
         if exact:
-            v, w_new = self._solve_joint_exact(state.x, t, w_hat)
+            lam_sum = cfg.lam + cfg.lam_couple
+            pull = cfg.lam * cfg.lam_couple / lam_sum if lam_sum else 0.0
+            weight = 0.5 / cfg.tau + pull
+            anchor = (0.5 / cfg.tau * w_hat + pull * state.x) / weight
+            w_new = self._normal_solve(w_hat, lam=weight, anchor=anchor)
+            v = ((cfg.lam * state.x + cfg.lam_couple * w_new) / lam_sum
+                 if lam_sum else state.x)
         else:
             v, w_new, state.inner_losses = self._optimize_joint(state.x, t, w_hat)
         w_bar = 2.0 * w_new - state.w
@@ -348,30 +357,11 @@ class Sampler:
         """
         cfg = self.config
         x = self.prior.denoise(state.x, t)
-        rho = cfg.rho
-        if self._aty2 is None:
-            self._aty2 = 2.0 * self.op.adjoint(self.y)
-        normal_buf, dz_buf, smooth_buf = np.empty((3,) + x.shape)
-
-        def apply_op(v):
-            out = self.op.adjoint(self.op.forward(v), out=normal_buf)
-            out *= 2.0
-            smooth = dz_adjoint(dz_forward(v, out=dz_buf), out=smooth_buf)
-            smooth *= rho
-            out += smooth
-            return out
-
         z = np.zeros_like(x)
         w = np.zeros_like(x)
         for _ in range(cfg.dds_admm_iters):
-            rhs = self._aty2 + rho * dz_adjoint(z - w)
-            result = cg_solve(apply_op, rhs, tol=0.0, max_iter=cfg.cg_max_iter, x0=x)
-            if result.breakdown:
-                raise SamplerError("CG breakdown in dds data-consistency solve")
-            x = result.x
-            dz_x = dz_forward(x)
-            z = soft_threshold(dz_x + w, cfg.lam_z / rho)
-            w = w + dz_x - z
+            x = self._normal_solve(x, z, w, tol=0.0, max_iter=cfg.cg_max_iter)
+            z, w = self._split_update(x, z, w)
         return x
 
     def step(self, state, t, t_next, resample=True, inner="adam"):
@@ -382,6 +372,8 @@ class Sampler:
         """
         if inner not in ("adam", "exact"):
             raise ValueError(f"unknown inner solver {inner!r}")
+        if inner == "exact" and not self.prior.is_linear:
+            raise SamplerError("exact inner solves need a linear prior")
         state.x0 = self._estimate(state, t, inner == "exact")
         if resample:
             state.x = self._resample(state.x0, t_next)

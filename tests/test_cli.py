@@ -102,7 +102,8 @@ def test_sampler_keys_validated_at_load(tmp_path):
                      "gmm_components=1:nan:0.1",
                      "n_detectors=0", "n_detectors=-3", "detector_spacing=0",
                      "beta_end=2", "num_train_steps=0",
-                     "seed=-1", "seed=18446744073709551616"):  # 2**64
+                     "seed=-1", "seed=18446744073709551616",  # 2**64
+                     "train_lr=0", "train_lr=-5", "ny=8"):
         args = BASE + paths_args(tmp_path) + ["--set", override]
         assert main(["generate-phantom"] + args) == 1, override
         assert not (tmp_path / "phantom.f64").exists(), override

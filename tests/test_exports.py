@@ -1,7 +1,8 @@
 """Package-wide lints: every public export has a caller outside its own tests,
-only `volume.py` reads or writes raw arrays and JSON, no module imports
-`scipy.sparse`, only `radon.py` names its compiled `_sparsetools`, and
-README's config key table lists exactly the fields of `RunConfig`."""
+only `volume.py` reads or writes raw arrays and JSON, one function runs
+`cg_solve`, no module imports `scipy.sparse`, only `radon.py` names its
+compiled `_sparsetools`, and README's config key table lists exactly the
+fields of `RunConfig`."""
 
 import ast
 import os
@@ -75,6 +76,32 @@ def test_only_volume_module_does_file_format_io():
                  for p in sorted(PACKAGE.glob("*.py")) if p != owner}
     offenders = {name: calls for name, calls in offenders.items() if calls}
     assert not offenders, f"raw-array/JSON IO outside volume.py: {offenders}"
+
+
+def calling_functions(path, name):
+    """`module.function` for each function whose own body calls `name` or
+    `obj.name`; a call inside a nested def counts for the nested def."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                callers.add(f"{path.stem}.{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return callers
+
+
+def test_one_function_runs_cg_solve():
+    # Every CG solve in the samplers is the one normal-equation solve.
+    callers = set().union(*(calling_functions(p, "cg_solve")
+                            for p in sorted(PACKAGE.glob("*.py"))))
+    assert len(callers) == 1, sorted(callers)
 
 
 def imported_modules(path):

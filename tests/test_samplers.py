@@ -25,6 +25,7 @@ from nerdct import (
 )
 from nerdct.optim import cg_solve
 from nerdct.rng import Xoshiro256PP
+from nerdct.samplers import METHODS, SamplerState
 from test_optim import cg_oracle
 
 NX, NZ = 16, 8
@@ -407,14 +408,24 @@ def test_dds_cg_runs_its_fixed_budget_silently(caplog, monkeypatch):
     assert caplog.records == []
 
 
-def test_dds_cg_breakdown_on_nan_operator(monkeypatch):
-    # NaN curvature is a breakdown, not a silent unconverged solve.
+def nan_forward_step(monkeypatch, method, prior, inner):
     op, _, y = small_problem(noise=0.05)
-    sampler = Sampler(config("dds", dds_admm_iters=1), op, y, gmm_prior(), SCHED)
+    sampler = Sampler(config(method, dds_admm_iters=1), op, y, prior, SCHED)
     state = sampler.initialize()
     monkeypatch.setattr(op, "forward", lambda vol: np.full(op.sinogram_shape, np.nan))
     with pytest.raises(SamplerError, match="CG breakdown"):
-        sampler.step(state, 1000, 500, resample=False)
+        sampler.step(state, 1000, 500, resample=False, inner=inner)
+
+
+def test_dds_cg_breakdown_on_nan_operator(monkeypatch):
+    # NaN curvature is a breakdown, not a silent unconverged solve.
+    nan_forward_step(monkeypatch, "dds", gmm_prior(), "adam")
+
+
+@pytest.mark.parametrize("method", ["nerd-a", "nerd-p"])
+def test_exact_solve_cg_breakdown_on_nan_operator(monkeypatch, method):
+    # The exact inner solves run the same normal-equation solve as dds.
+    nan_forward_step(monkeypatch, method, IdentityPrior(), "exact")
 
 
 @pytest.mark.parametrize("method, tau, sigma, lam_z, warns", [
@@ -455,6 +466,10 @@ def dense_dz_matrix_3d(shape):
     return np.stack(cols, axis=1)
 
 
+def exact_step(sampler, state):
+    return sampler.step(state, 500, 500, resample=False, inner="exact")
+
+
 def test_exact_input_solve_matches_dense_solution():
     op, phantom, y = small_problem(noise=0.02)
     cfg = config("nerd-a", lam=0.3, lam_z=0.1, rho=1.5)
@@ -464,7 +479,7 @@ def test_exact_input_solve_matches_dense_solution():
     x_t = rng.normal_array(shape)
     z = rng.normal_array(shape) * 0.1
     w = rng.normal_array(shape) * 0.1
-    v = sampler._solve_input_exact(x_t, 500, z, w)
+    v = exact_step(sampler, SamplerState(x=x_t, z=z, w_dual=w))
 
     amat = dense_operator_matrix(op)
     dmat = dense_dz_matrix_3d(shape)
@@ -483,7 +498,10 @@ def test_exact_joint_solve_matches_dense_solution():
     shape = (NZ, NX, NX)
     x_t = rng.normal_array(shape)
     w_hat = rng.normal_array(shape) * 0.1
-    v, w = sampler._solve_joint_exact(x_t, 500, w_hat)
+    # With u = 0 the step's w_hat is the current w.
+    state = SamplerState(x=x_t, w=w_hat, u=np.zeros(shape))
+    v = exact_step(sampler, state)
+    w = state.w
 
     amat = dense_operator_matrix(op)
     n = amat.shape[1]
@@ -498,16 +516,38 @@ def test_exact_joint_solve_matches_dense_solution():
     assert np.allclose(w.ravel(), expected[n:], atol=1e-7)
 
 
+def test_exact_joint_solve_ignores_rho():
+    # nerd-p runs no ADMM split, so its exact solve reads no rho.
+    op, _, y = small_problem(noise=0.02)
+    outputs = []
+    for kw in ({}, {"rho": 5.0}):
+        sampler = Sampler(config("nerd-p", **kw), op, y, IdentityPrior(), SCHED)
+        state = sampler.initialize()
+        x0 = exact_step(sampler, state)
+        outputs.append((x0.tobytes(), state.w.tobytes(), state.u.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_exact_joint_solve_without_anchor_or_coupling_keeps_input():
+    # lam = lam' = 0 leaves v free; the solve keeps it at x_t, and w is
+    # still the finite minimizer of the data and proximal terms.
+    op, _, y = small_problem(noise=0.02)
+    sampler = Sampler(config("nerd-p", lam=0.0, lam_couple=0.0), op, y,
+                      IdentityPrior(), SCHED)
+    state = sampler.initialize()
+    x_t = state.x.copy()
+    x0 = exact_step(sampler, state)
+    assert np.array_equal(x0, x_t)
+    assert np.all(np.isfinite(state.w))
+
+
 def test_exact_solves_require_linear_prior():
     op, _, y = small_problem()
-    sampler = Sampler(config("nerd-a"), op, y, gmm_prior(), SCHED)
-    shape = (NZ, NX, NX)
-    zeros = np.zeros(shape)
-    with pytest.raises(SamplerError):
-        sampler._solve_input_exact(zeros, 500, zeros, zeros)
-    sampler_p = Sampler(config("nerd-p"), op, y, gmm_prior(), SCHED)
-    with pytest.raises(SamplerError):
-        sampler_p._solve_joint_exact(zeros, 500, zeros)
+    for method in METHODS:
+        sampler = Sampler(config(method), op, y, gmm_prior(), SCHED)
+        state = sampler.initialize()
+        with pytest.raises(SamplerError, match="linear prior"):
+            exact_step(sampler, state)
 
 
 # ------------------------------------------------------------ failures
