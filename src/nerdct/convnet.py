@@ -102,31 +102,31 @@ def _time_stack(x2d, t, schedule):
 
 
 def _forward_cache(x2d, t, weights, schedule):
+    """(eps_hat, each layer's input).  A hidden input is a ReLU output, which
+    is > 0 exactly where its pre-activation is, so it doubles as the mask."""
     act = _time_stack(x2d, t, schedule)
-    inputs, pre_acts = [], []
+    inputs = []
     last = len(weights) - 1
     for i, (kernel, bias) in enumerate(weights):
         inputs.append(act)
         z = conv2d(act, kernel, bias)
-        pre_acts.append(z)
         act = np.maximum(z, 0.0) if i < last else z
-    return act[0], inputs, pre_acts
+    return act[0], inputs
 
 
 def conv_forward(x2d, t, weights, schedule):
     """Predicted noise eps_hat for one 2D slice."""
-    eps_hat, _, _ = _forward_cache(x2d, t, weights, schedule)
-    return eps_hat
+    return _forward_cache(x2d, t, weights, schedule)[0]
 
 
-def _backward(grad_eps, weights, inputs, pre_acts):
+def _backward(grad_eps, weights, inputs):
     """Per-layer (kernel, bias) gradients; the training pass."""
     grad = grad_eps[None]
     weight_grads = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
         weight_grads[i] = conv2d_weight_grad(grad, inputs[i])
         if i > 0:
-            grad = conv2d_input_grad(grad, weights[i][0]) * (pre_acts[i - 1] > 0.0)
+            grad = conv2d_input_grad(grad, weights[i][0]) * (inputs[i] > 0.0)
     return weight_grads
 
 
@@ -142,14 +142,14 @@ def _input_grad(grad_eps, weights, masks):
 
 def conv_input_vjp(x2d, t, weights, schedule, cotangent):
     """d<cotangent, eps_hat>/d x2d (image channel only; t channel is constant)."""
-    _, _, pre_acts = _forward_cache(x2d, t, weights, schedule)
-    return _input_grad(cotangent, weights, [z > 0.0 for z in pre_acts[:-1]])
+    _, inputs = _forward_cache(x2d, t, weights, schedule)
+    return _input_grad(cotangent, weights, [a > 0.0 for a in inputs[1:]])
 
 
 def conv_weight_grad(x2d, t, weights, schedule, cotangent):
     """Per-layer (kernel, bias) gradients of <cotangent, eps_hat>."""
-    _, inputs, pre_acts = _forward_cache(x2d, t, weights, schedule)
-    return _backward(cotangent, weights, inputs, pre_acts)
+    _, inputs = _forward_cache(x2d, t, weights, schedule)
+    return _backward(cotangent, weights, inputs)
 
 
 def pack_weights(weights):
@@ -190,8 +190,8 @@ class ConvDenoiserPrior(DenoiserPrior):
         hidden = (len(CHANNELS) - 2, CHANNELS[1])
         masks = np.empty((len(x_t),) + hidden + x_t.shape[1:], dtype=bool)
         for k in range(len(x_t)):
-            eps[k], _, pre_acts = _forward_cache(x_t[k], t, self.weights, self.schedule)
-            masks[k] = [z > 0.0 for z in pre_acts[:-1]]
+            eps[k], inputs = _forward_cache(x_t[k], t, self.weights, self.schedule)
+            masks[k] = [a > 0.0 for a in inputs[1:]]
         x0 = tweedie_denoise(x_t, t, eps, self.schedule)
         a = self.schedule.alpha_bar[t]
 
@@ -209,10 +209,10 @@ def denoising_loss(x2d, t, weights, schedule, eps):
     """Mean squared noise-prediction error and its weight gradients."""
     a = schedule.alpha_bar[t]
     noisy = np.sqrt(a) * x2d + np.sqrt(1.0 - a) * eps
-    eps_hat, inputs, pre_acts = _forward_cache(noisy, t, weights, schedule)
+    eps_hat, inputs = _forward_cache(noisy, t, weights, schedule)
     diff = eps_hat - eps
     loss = float(np.mean(diff**2))
-    return loss, _backward(2.0 * diff / diff.size, weights, inputs, pre_acts)
+    return loss, _backward(2.0 * diff / diff.size, weights, inputs)
 
 
 def _holdout_losses(slices, pairs, weights, schedule):

@@ -35,10 +35,8 @@ the matrices ``T**(2**k)``, which all draw sizes share; they are built
 lazily by repeated squaring and cached at 8 KB each (about 0.2 MB once
 draws of 2**20 words have been made).  The last block may run past
 `count`: its surplus words are dropped and the generator keeps the state
-the last lane had at the end of the draw.  Draws of at most two words skip
-the lanes and step the recurrence in Python ints, which costs microseconds
-instead of a few dozen NumPy calls.  The words, their order and the state
-after the draw are exactly those of the one-word-at-a-time recurrence.
+the last lane had at the end of the draw.  The words, their order and the
+state after the draw are exactly those of the one-word-at-a-time recurrence.
 """
 
 import functools
@@ -137,27 +135,10 @@ def _lane_starts(state, block, lanes):
     return s
 
 
-def _scalar_words(state, count):
-    """`_generate` one word at a time in Python ints, for tiny draws."""
-    s0, s1, s2, s3 = state
-    out = []
-    for _ in range(count):
-        x = (s0 + s3) & _MASK64
-        out.append((((x << 23) & _MASK64 | x >> 41) + s0) & _MASK64)
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = (s3 << 45) & _MASK64 | s3 >> 19
-    return np.array(out, dtype=np.uint64), (s0, s1, s2, s3)
-
-
 def _generate(state, count):
     """The next `count` words after `state` (uint64 array) and the new state."""
-    if count <= 2:
-        return _scalar_words(state, count)
+    if count == 0:
+        return np.empty(0, dtype=np.uint64), state
     block = 1
     while block * block < count or block * _MAX_LANES < count:
         block *= 2

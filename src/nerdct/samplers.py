@@ -174,76 +174,29 @@ class Sampler:
 
     # ------------------------------------------------- inner optimization
 
-    def _check_finite(self, loss, t, what):
-        if not np.isfinite(loss):
-            raise SamplerError(
-                f"non-finite inner objective ({loss}) in {what} at t={t}"
-            )
+    def _optimize(self, x_t, t, blocks, terms, what):
+        """K Adam updates on the stacked `blocks`, whose first block is v.
 
-    def _optimize_input(self, x_t, t, z, w_dual):
-        """K Adam updates on the input-domain objective, from v = x_t.
-
-        Objective: ||A f(v) - y||^2 + lam ||v - x_t||^2 and, when rho > 0,
-        + (rho/2) ||Dz f(v) - z + w||^2.
+        `terms(blocks)` returns the method's objective and its gradient,
+        (loss, grad); the anchor lam ||v - x_t||^2 is added to both last.
+        Returns the final blocks and the loss before each update.
         """
         cfg = self.config
-        v = x_t.copy()
         adam = AdamState(lr=cfg.lr)
         losses = []
         for _ in range(cfg.inner_steps):
-            x0, vjp = self.prior.denoise_and_vjp(v, t)
-            resid = self.op.forward(x0) - self.y
-            loss = l2_norm_sq(resid)
-            cot = 2.0 * self.op.adjoint(resid)
-            if self.rho != 0.0:
-                gap = dz_forward(x0) - z + w_dual
-                loss += 0.5 * self.rho * l2_norm_sq(gap)
-                cot += self.rho * dz_adjoint(gap)
-            grad = vjp(cot)
-            del vjp  # free its buffers before the next pass allocates new ones
+            loss, grad = terms(blocks)
             if cfg.lam != 0.0:
-                diff = v - x_t
-                loss += cfg.lam * l2_norm_sq(diff)
-                grad += 2.0 * cfg.lam * diff
-            self._check_finite(loss, t, "input optimization")
-            losses.append(loss)
-            v = adam_step(adam, v, grad)
-        return v, losses
-
-    def _optimize_joint(self, x_t, t, w_hat):
-        """K joint Adam updates for nerd-p, from v = x_t, w = w_hat.
-
-        Objective over the stacked pair (v, w):
-        ||A w - y||^2 + lam ||v - x_t||^2 + ||w - w_hat||^2 / (2 tau)
-        + lam_couple ||f(v) - w||^2.
-        """
-        cfg = self.config
-        pair = np.stack([x_t, w_hat])
-        grad = np.empty_like(pair)
-        grad_v, grad_w = grad
-        adam = AdamState(lr=cfg.lr)
-        losses = []
-        for _ in range(cfg.inner_steps):
-            v, w = pair
-            resid = self.op.forward(w) - self.y
-            w_gap = w - w_hat
-            loss = l2_norm_sq(resid) + 0.5 / cfg.tau * l2_norm_sq(w_gap)
-            np.add(2.0 * self.op.adjoint(resid), w_gap / cfg.tau, out=grad_w)
-            x0, vjp = self.prior.denoise_and_vjp(v, t)
-            couple = x0 - w
-            loss += cfg.lam_couple * l2_norm_sq(couple)
-            np.multiply(2.0 * cfg.lam_couple, vjp(couple), out=grad_v)
-            del vjp
-            grad_w -= 2.0 * cfg.lam_couple * couple
-            if cfg.lam != 0.0:
-                anchor = v - x_t
+                anchor = blocks[0] - x_t
                 loss += cfg.lam * l2_norm_sq(anchor)
-                grad_v += 2.0 * cfg.lam * anchor
-            self._check_finite(loss, t, "joint optimization")
+                grad[0] += 2.0 * cfg.lam * anchor
+            if not np.isfinite(loss):
+                raise SamplerError(
+                    f"non-finite inner objective ({loss}) in {what} at t={t}"
+                )
             losses.append(loss)
-            pair = adam_step(adam, pair, grad)
-        v, w = pair
-        return v, w, losses
+            blocks = adam_step(adam, blocks, grad)
+        return blocks, losses
 
     @functools.cached_property
     def _aty2(self):
@@ -299,7 +252,8 @@ class Sampler:
     def _admm_estimate(self, state, t, exact):
         """nerd-a, and sitcom as nerd-a with rho = 0.
 
-        1. optimize v with the rho-penalty against (z, w);
+        1. optimize v from x_t on ||A f(v) - y||^2 + lam ||v - x_t||^2
+           + (rho/2) ||Dz f(v) - z + w||^2;
         2. x0 = f(v);
         3. z <- soft_threshold(Dz x0 + w, lam_z / rho);
         4. w <- w + Dz x0 - z.
@@ -309,8 +263,19 @@ class Sampler:
             v = self._normal_solve(state.x, state.z, state.w_dual,
                                    lam=self.config.lam, anchor=state.x)
         else:
-            v, state.inner_losses = self._optimize_input(state.x, t, state.z,
-                                                         state.w_dual)
+            def terms(blocks):
+                x0, vjp = self.prior.denoise_and_vjp(blocks[0], t)
+                resid = self.op.forward(x0) - self.y
+                loss = l2_norm_sq(resid)
+                cot = 2.0 * self.op.adjoint(resid)
+                if self.rho != 0.0:
+                    gap = dz_forward(x0) - state.z + state.w_dual
+                    loss += 0.5 * self.rho * l2_norm_sq(gap)
+                    cot += self.rho * dz_adjoint(gap)
+                return loss, vjp(cot)[None]
+
+            (v,), state.inner_losses = self._optimize(
+                state.x, t, state.x[None], terms, "input optimization")
         x0 = self.prior.denoise(v, t)
         if self.rho != 0.0:
             state.z, state.w_dual = self._split_update(x0, state.z, state.w_dual)
@@ -320,7 +285,9 @@ class Sampler:
         """nerd-p: primal-dual step with the coupling operator lam_z * Dz.
 
         The primal update starts from the current w ("w_bar <- w_t"), and
-        the dual ascent reads the extrapolated point 2 w_new - w.
+        the dual ascent reads the extrapolated point 2 w_new - w.  The pair
+        (v, w) is optimized from (x_t, w_hat) on ||A w - y||^2 + lam ||v - x_t||^2
+        + ||w - w_hat||^2 / (2 tau) + lam_couple ||f(v) - w||^2.
 
         With a linear prior the exact joint minimizer has v = (lam x_t +
         lam' w) / (lam + lam') in closed form, which leaves one normal solve
@@ -338,7 +305,25 @@ class Sampler:
             v = ((cfg.lam * state.x + cfg.lam_couple * w_new) / lam_sum
                  if lam_sum else state.x)
         else:
-            v, w_new, state.inner_losses = self._optimize_joint(state.x, t, w_hat)
+            pair = np.stack([state.x, w_hat])
+            grad = np.empty_like(pair)
+
+            def terms(blocks):
+                v, w = blocks
+                grad_v, grad_w = grad
+                resid = self.op.forward(w) - self.y
+                w_gap = w - w_hat
+                loss = l2_norm_sq(resid) + 0.5 / cfg.tau * l2_norm_sq(w_gap)
+                np.add(2.0 * self.op.adjoint(resid), w_gap / cfg.tau, out=grad_w)
+                x0, vjp = self.prior.denoise_and_vjp(v, t)
+                couple = x0 - w
+                loss += cfg.lam_couple * l2_norm_sq(couple)
+                np.multiply(2.0 * cfg.lam_couple, vjp(couple), out=grad_v)
+                grad_w -= 2.0 * cfg.lam_couple * couple
+                return loss, grad
+
+            (v, w_new), state.inner_losses = self._optimize(
+                state.x, t, pair, terms, "joint optimization")
         w_bar = 2.0 * w_new - state.w
         state.u = project_linf_ball(
             state.u + cfg.sigma * cfg.lam_z * dz_forward(w_bar)

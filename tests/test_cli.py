@@ -269,6 +269,19 @@ def test_reconstruct_with_conv_prior(tmp_path):
     assert (tmp_path / "recon.f64").exists()
 
 
+@pytest.mark.parametrize("trained", ["num_train_steps=50", "beta_end=0.5"])
+def test_reconstruct_rejects_weights_from_another_schedule(tmp_path, capsys, trained):
+    args = BASE + paths_args(tmp_path) + ["--set", "epochs=1"]
+    assert main(["generate-phantom"] + args) == 0
+    assert main(["simulate"] + args) == 0
+    assert main(["train-denoiser", "--set", trained] + args) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--set", "prior=conv"] + args) == 1
+    err = capsys.readouterr().err
+    assert "num_train_steps" in err and "alpha_bar_last" in err and "1000" in err
+    assert not (tmp_path / "recon.f64").exists()
+
+
 def test_evaluate_identical_volume_inf_serialization(tmp_path):
     args = BASE + paths_args(tmp_path)
     assert main(["generate-phantom"] + args) == 0

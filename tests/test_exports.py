@@ -1,8 +1,8 @@
 """Package-wide lints: every public export has a caller outside its own tests,
 only `volume.py` reads or writes raw arrays and JSON, one function runs
-`cg_solve`, no module imports `scipy.sparse`, only `radon.py` names its
-compiled `_sparsetools`, and README's config key table lists exactly the
-fields of `RunConfig`."""
+`cg_solve` and one sampler function `adam_step`, no module imports
+`scipy.sparse`, only `radon.py` names its compiled `_sparsetools`, and
+README's config key table lists exactly the fields of `RunConfig`."""
 
 import ast
 import os
@@ -101,6 +101,12 @@ def test_one_function_runs_cg_solve():
     # Every CG solve in the samplers is the one normal-equation solve.
     callers = set().union(*(calling_functions(p, "cg_solve")
                             for p in sorted(PACKAGE.glob("*.py"))))
+    assert len(callers) == 1, sorted(callers)
+
+
+def test_one_sampler_function_runs_adam_step():
+    # nerd-a, sitcom and nerd-p share one Adam inner loop.
+    callers = calling_functions(PACKAGE / "samplers.py", "adam_step")
     assert len(callers) == 1, sorted(callers)
 
 

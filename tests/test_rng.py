@@ -226,7 +226,7 @@ def test_lane_words_match_oracle(seed, sizes):
 ], ids=["tiny-only", "tiny-between-lanes", "tiny-after-lanes"])
 @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
 def test_tiny_draws_match_oracle_between_lane_draws(seed, sizes):
-    # Draws of one or two words take the scalar path; lane draws before and
+    # Draws of one or two words run a single lane; lane draws before and
     # after them must see the same stream and state.
     rng = Xoshiro256PP(seed)
     state = rng._s

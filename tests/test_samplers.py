@@ -94,6 +94,21 @@ def test_rerun_bit_identical():
             assert (a.data_residual, a.tv_z, a.psnr) == (b.data_residual, b.tv_z, b.psnr)
 
 
+@pytest.mark.parametrize("prior", [gmm_prior(), IdentityPrior()], ids=["gmm", "identity"])
+@pytest.mark.parametrize("method", METHODS)
+def test_step_leaves_callers_x_t_unchanged(method, prior):
+    # nerd-a's inner loop starts from a view of x_t, and the identity prior
+    # returns its input, so an in-place write there would reach x_t.
+    op, _, y = small_problem()
+    sampler = Sampler(config(method), op, y, prior, SCHED)
+    state = sampler.initialize()
+    x_t = state.x
+    before = x_t.tobytes()
+    sampler.step(state, 500, 500, resample=False)
+    assert state.x is x_t
+    assert x_t.tobytes() == before
+
+
 def test_single_step_single_trace():
     op, _, y = small_problem()
     cfg = config("nerd-p", n_steps=1)
