@@ -7,10 +7,10 @@ success, 1 for usage/config errors, 2 for runtime or numeric failures.
 """
 
 import argparse
+import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import convnet
 from .config import (
@@ -24,33 +24,9 @@ from .config import (
 from .metrics import evaluate_volume
 from .optim import NonFiniteGradientError
 from .phantom import shepp_logan_3d
-from .radon import (
-    CTOperator,
-    ProjectionGeometry,
-    add_gaussian_noise,
-    load_sinogram,
-    save_sinogram,
-)
+from .radon import add_gaussian_noise, load_sinogram, save_sinogram
 from .samplers import Sampler, SamplerError, save_trace
 from .volume import load_volume, save_volume, write_json
-
-COMMANDS = (
-    "generate-phantom",
-    "simulate",
-    "reconstruct",
-    "evaluate",
-    "train-denoiser",
-)
-
-# --out targets this config path, per command.
-_OUT_KEY = {
-    "generate-phantom": "volume_path",
-    "simulate": "sinogram_path",
-    "reconstruct": "recon_path",
-    "evaluate": "report_path",
-    "train-denoiser": "weights_path",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -75,7 +51,7 @@ def _load_config(args):
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
     if args.out is not None:
-        overrides[_OUT_KEY[args.command]] = args.out
+        overrides[COMMANDS[args.command][1]] = args.out
     return build_run_config(file_values, overrides)
 
 
@@ -122,38 +98,26 @@ def cmd_simulate(cfg):
     return 0
 
 
-def _operator_from_sinogram(cfg, sidecar):
-    geo = sidecar["geometry"]
-    if not isinstance(geo, dict):
-        raise ValueError(f"sinogram geometry must be a JSON object, got {geo!r}")
-    geometry = ProjectionGeometry(
-        geo["n_angles_full"], geo["n_detectors"], geo["detector_spacing"]
-    )
-    if not isinstance(sidecar["view_indices"], list):
-        raise ValueError(
-            f"sinogram view_indices must be a list, got {sidecar['view_indices']!r}")
-    view_indices = np.asarray(sidecar["view_indices"])
-    if cfg.n_angles_full != geometry.n_angles_full:
-        raise ConfigError(
-            f"config n_angles_full={cfg.n_angles_full} does not match sinogram "
-            f"({geometry.n_angles_full})"
-        )
-    if cfg.n_views != len(view_indices):
-        raise ConfigError(
-            f"config n_views={cfg.n_views} does not match sinogram "
-            f"({len(view_indices)})"
-        )
-    if cfg.nz != sidecar["nz"]:
-        raise ConfigError(
-            f"config nz={cfg.nz} does not match sinogram ({sidecar['nz']})"
-        )
-    return CTOperator(cfg.nx, cfg.ny, cfg.nz, geometry, view_indices)
+def _check_sinogram_record(sidecar, y, operator):
+    """ConfigError unless the sinogram's record matches the config's operator.
+
+    Compared as sorted-key JSON, so 23.0 differs from 23 and true from 1.
+    """
+    for what, recorded, built in (
+            ("geometry", sidecar.get("geometry"), asdict(operator.geometry)),
+            ("view_indices", sidecar.get("view_indices"), operator.view_indices.tolist()),
+            ("shape", y.shape, operator.sinogram_shape)):
+        recorded, built = (json.dumps(v, sort_keys=True) for v in (recorded, built))
+        if recorded != built:
+            raise ConfigError(
+                f"sinogram {what} {recorded} does not match the config's {built}")
 
 
 def cmd_reconstruct(cfg):
     _require_file(cfg.sinogram_path, "sinogram")
     y, sidecar = load_sinogram(cfg.sinogram_path)
-    operator = _operator_from_sinogram(cfg, sidecar)
+    operator = build_operator(cfg)
+    _check_sinogram_record(sidecar, y, operator)
     schedule = build_schedule(cfg)
     prior = build_prior(cfg, schedule)
     ground_truth = None
@@ -224,12 +188,13 @@ def cmd_train_denoiser(cfg):
     return 0
 
 
-_HANDLERS = {
-    "generate-phantom": cmd_generate_phantom,
-    "simulate": cmd_simulate,
-    "reconstruct": cmd_reconstruct,
-    "evaluate": cmd_evaluate,
-    "train-denoiser": cmd_train_denoiser,
+# name: (handler, config path that --out targets)
+COMMANDS = {
+    "generate-phantom": (cmd_generate_phantom, "volume_path"),
+    "simulate": (cmd_simulate, "sinogram_path"),
+    "reconstruct": (cmd_reconstruct, "recon_path"),
+    "evaluate": (cmd_evaluate, "report_path"),
+    "train-denoiser": (cmd_train_denoiser, "weights_path"),
 }
 
 
@@ -249,7 +214,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        return _HANDLERS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except (ConfigError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -177,14 +177,7 @@ def build_prior(cfg, schedule):
     if cfg.prior == "gmm":
         weights, means, stds = parse_gmm_components(cfg.gmm_components)
         return GmmScalarPrior(schedule, weights, means, stds)
-    layers, descriptor = load_weights(cfg.weights_path)
-    # save_weights records the training schedule; JSON keeps the float exact.
-    trained = descriptor.get("schedule")
-    wanted = {"num_train_steps": schedule.num_train_steps,
-              "alpha_bar_last": float(schedule.alpha_bar[-1])}
-    if trained != wanted:
-        raise ConfigError(f"weights {cfg.weights_path} were trained under schedule "
-                          f"{trained}, but this run's schedule is {wanted}")
+    layers, _ = load_weights(cfg.weights_path, schedule)
     return ConvDenoiserPrior(schedule, layers)
 
 

@@ -281,6 +281,12 @@ def train_denoiser(slices, schedule, epochs, seed, lr=1e-3, holdout_fraction=0.2
     return weights, record
 
 
+def _schedule_record(schedule):
+    """The training schedule as the weights descriptor records it."""
+    return {"num_train_steps": schedule.num_train_steps,
+            "alpha_bar_last": float(schedule.alpha_bar[-1])}
+
+
 def save_weights(path, weights, schedule, record=None):
     """Raw float64 weight vector plus a JSON descriptor at path + '.json'."""
     flat = pack_weights(weights)
@@ -289,15 +295,20 @@ def save_weights(path, weights, schedule, record=None):
         "channels": list(CHANNELS),
         "n_parameters": int(flat.size),
         "layout": "per layer: kernel C-order then bias",
-        "schedule": {
-            "num_train_steps": schedule.num_train_steps,
-            "alpha_bar_last": float(schedule.alpha_bar[-1]),
-        },
+        "schedule": _schedule_record(schedule),
         "training": record or {},
     })
 
 
-def load_weights(path):
-    """Load weights written by save_weights; returns (weights, descriptor)."""
+def load_weights(path, schedule):
+    """Load weights written by save_weights; returns (weights, descriptor).
+
+    ValueError unless they were trained under `schedule` (JSON keeps the
+    float exact, so the records compare by ==).
+    """
     flat, descriptor = load_raw(path, "n_parameters")
+    trained, wanted = descriptor.get("schedule"), _schedule_record(schedule)
+    if trained != wanted:
+        raise ValueError(f"weights {path} were trained under schedule "
+                         f"{trained}, but this run's schedule is {wanted}")
     return unpack_weights(flat), descriptor

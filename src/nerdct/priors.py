@@ -16,9 +16,6 @@ _TILE = 8192
 class DenoiserPrior(abc.ABC):
     """Posterior-mean denoiser with a matching input VJP."""
 
-    #: True when denoise is affine in x_t, enabling exact inner solves.
-    is_linear = False
-
     @abc.abstractmethod
     def denoise(self, x_t, t):
         """Estimate of the clean image given x_t at time index t."""
@@ -34,8 +31,6 @@ class DenoiserPrior(abc.ABC):
 
 class IdentityPrior(DenoiserPrior):
     """f(x_t, t) = x_t; turns the samplers into plain linear solvers."""
-
-    is_linear = True
 
     def denoise(self, x_t, t):
         return x_t

@@ -22,7 +22,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -299,11 +299,7 @@ def save_sinogram(path, sino, geometry, view_indices, sigma_y=None, seed=None,
         "n_detectors": int(sino.shape[1]),
         "nz": int(sino.shape[2]),
         "layout": "C-order (view, detector, slice)",
-        "geometry": {
-            "n_angles_full": geometry.n_angles_full,
-            "n_detectors": geometry.n_detectors,
-            "detector_spacing": geometry.detector_spacing,
-        },
+        "geometry": asdict(geometry),
         "view_indices": [int(i) for i in view_indices],
         "sigma_y": sigma_y,
         "seed": seed,

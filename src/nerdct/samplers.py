@@ -34,6 +34,7 @@ import numpy as np
 
 from .metrics import psnr
 from .optim import AdamState, adam_step, cg_solve, project_linf_ball, soft_threshold
+from .priors import IdentityPrior
 from .rng import Xoshiro256PP
 from .volume import dz_adjoint, dz_forward, l1_norm, l2_norm_sq
 
@@ -289,7 +290,7 @@ class Sampler:
         (v, w) is optimized from (x_t, w_hat) on ||A w - y||^2 + lam ||v - x_t||^2
         + ||w - w_hat||^2 / (2 tau) + lam_couple ||f(v) - w||^2.
 
-        With a linear prior the exact joint minimizer has v = (lam x_t +
+        With the identity prior the exact joint minimizer has v = (lam x_t +
         lam' w) / (lam + lam') in closed form, which leaves one normal solve
         in w: the anchor terms ||w - w_hat||^2 / (2 tau) and
         (lam lam' / (lam + lam')) ||w - x_t||^2 merge into one.
@@ -353,12 +354,12 @@ class Sampler:
         """Clean estimate at t by the method's estimator, then resample to t_next.
 
         inner="exact" swaps the Adam inner loop for an exact CG solve of the
-        quadratic it minimizes, which needs a linear prior.
+        quadratic it minimizes when f(v) = v, so it needs the identity prior.
         """
         if inner not in ("adam", "exact"):
             raise ValueError(f"unknown inner solver {inner!r}")
-        if inner == "exact" and not self.prior.is_linear:
-            raise SamplerError("exact inner solves need a linear prior")
+        if inner == "exact" and not isinstance(self.prior, IdentityPrior):
+            raise SamplerError("exact inner solves need the identity prior")
         state.x0 = self._estimate(state, t, inner == "exact")
         if resample:
             state.x = self._resample(state.x0, t_next)

@@ -203,12 +203,28 @@ def test_malformed_sinogram_sidecar_exit_1(tmp_path, capsys, edit):
     assert not (tmp_path / "recon.f64").exists()
 
 
-def test_config_mismatch_with_sinogram_sidecar(tmp_path):
+@pytest.mark.parametrize("change", [
+    "n_views=6", "detector_spacing=2.0", "n_detectors=30", "nz=8",
+    {"view_indices": [0, 5, 7, 11]},
+], ids=["n_views=6", "detector_spacing=2.0", "n_detectors=30", "nz=8", "views-0-5-7-11"])
+def test_config_mismatch_with_sinogram_sidecar(tmp_path, capsys, change):
+    # reconstruct builds the projector from the config; a sinogram recorded
+    # under another geometry, view set or shape is refused, not adopted.
     args = BASE + paths_args(tmp_path)
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
-    bad = [a if a != "n_views=4" else "n_views=6" for a in args]
-    assert main(["reconstruct"] + bad) == 1
+    if isinstance(change, dict):
+        sidecar_path = tmp_path / "sino.f64.json"
+        sidecar_path.write_text(json.dumps({**json.loads(sidecar_path.read_text()),
+                                            **change}))
+        change = []
+    else:
+        change = ["--set", change]
+    capsys.readouterr()
+    assert main(["reconstruct"] + args + change) == 1
+    assert "does not match" in capsys.readouterr().err
+    assert not (tmp_path / "recon.f64").exists()
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_config_file_and_overrides(tmp_path):

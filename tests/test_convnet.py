@@ -246,7 +246,7 @@ def test_weights_io_round_trip(tmp_path):
     weights = init_weights(16)
     path = tmp_path / "weights.f64"
     save_weights(str(path), weights, SCHED, record={"epochs": 0})
-    loaded, meta = load_weights(str(path))
+    loaded, meta = load_weights(str(path), SCHED)
     assert np.array_equal(pack_weights(weights), pack_weights(loaded))
     assert meta["kernel"] == KERNEL
     assert tuple(meta["channels"]) == CHANNELS
@@ -259,7 +259,7 @@ def test_weights_io_size_mismatch(tmp_path):
     for damaged in (data[:-8], data + b"\0\0\0"):
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match="does not match"):
-            load_weights(str(path))
+            load_weights(str(path), SCHED)
 
 
 def test_prior_denoise_and_vjp_consistent_with_tweedie():

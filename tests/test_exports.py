@@ -1,6 +1,7 @@
 """Package-wide lints: every public export has a caller outside its own tests,
 only `volume.py` reads or writes raw arrays and JSON, one function runs
-`cg_solve` and one sampler function `adam_step`, no module imports
+`cg_solve`, one sampler function `adam_step` and one function constructs
+`CTOperator` (`config.build_operator`), no module imports
 `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`, and
 README's config key table lists exactly the fields of `RunConfig`."""
 
@@ -102,6 +103,13 @@ def test_one_function_runs_cg_solve():
     callers = set().union(*(calling_functions(p, "cg_solve")
                             for p in sorted(PACKAGE.glob("*.py"))))
     assert len(callers) == 1, sorted(callers)
+
+
+def test_one_function_constructs_ct_operator():
+    # simulate and reconstruct build the projector the same way.
+    callers = set().union(*(calling_functions(p, "CTOperator")
+                            for p in sorted(PACKAGE.glob("*.py"))))
+    assert callers == {"config.build_operator"}, sorted(callers)
 
 
 def test_one_sampler_function_runs_adam_step():

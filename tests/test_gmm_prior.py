@@ -151,7 +151,6 @@ def test_validation():
 
 def test_identity_prior():
     prior = IdentityPrior()
-    assert prior.is_linear
     x = Xoshiro256PP(8).normal_array((2, 3, 4))
     assert np.array_equal(prior.denoise(x, 500), x)
     cot = Xoshiro256PP(9).normal_array((2, 3, 4))

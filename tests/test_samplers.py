@@ -8,6 +8,7 @@ import pytest
 
 from nerdct import (
     CTOperator,
+    DenoiserPrior,
     GmmScalarPrior,
     IdentityPrior,
     NoiseSchedule,
@@ -561,7 +562,29 @@ def test_exact_solves_require_linear_prior():
     for method in METHODS:
         sampler = Sampler(config(method), op, y, gmm_prior(), SCHED)
         state = sampler.initialize()
-        with pytest.raises(SamplerError, match="linear prior"):
+        with pytest.raises(SamplerError, match="identity prior"):
+            exact_step(sampler, state)
+
+
+class _DoublingPrior(DenoiserPrior):
+    """f(x) = 2x: affine and flagged `is_linear`, yet not the f(v) = v the
+    exact solves assume."""
+
+    is_linear = True
+
+    def denoise(self, x_t, t):
+        return 2.0 * x_t
+
+    def denoise_and_vjp(self, x_t, t):
+        return 2.0 * x_t, lambda cotangent: 2.0 * cotangent
+
+
+def test_exact_solves_reject_affine_non_identity_prior():
+    op, _, y = small_problem()
+    for method in METHODS:
+        sampler = Sampler(config(method), op, y, _DoublingPrior(), SCHED)
+        state = sampler.initialize()
+        with pytest.raises(SamplerError, match="identity prior"):
             exact_step(sampler, state)
 
 
