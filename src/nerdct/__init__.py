@@ -62,7 +62,6 @@ from .volume import (
     l2_norm_sq,
     load_volume,
     save_volume,
-    validate_volume,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ schedule, operator and prior; validation runs the first two.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .convnet import ConvDenoiserPrior, load_weights
 from .priors import GmmScalarPrior, IdentityPrior, validate_mixture
@@ -89,9 +89,6 @@ class RunConfig(SamplerConfig):
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
         return self
-
-    def to_dict(self):
-        return asdict(self)
 
 
 _ALIASES = {

@@ -281,34 +281,25 @@ def train_denoiser(slices, schedule, epochs, seed, lr=1e-3, holdout_fraction=0.2
     return weights, record
 
 
-def _schedule_record(schedule):
-    """The training schedule as the weights descriptor records it."""
-    return {"num_train_steps": schedule.num_train_steps,
-            "alpha_bar_last": float(schedule.alpha_bar[-1])}
+def _weights_record(schedule):
+    """What a weights descriptor records of the net and its training schedule."""
+    return {"kernel": KERNEL,
+            "channels": list(CHANNELS),
+            "schedule": {"num_train_steps": schedule.num_train_steps,
+                         "alpha_bar_last": float(schedule.alpha_bar[-1])}}
 
 
 def save_weights(path, weights, schedule, record=None):
-    """Raw float64 weight vector plus a JSON descriptor at path + '.json'."""
-    flat = pack_weights(weights)
-    save_raw(path, flat, {
-        "kernel": KERNEL,
-        "channels": list(CHANNELS),
-        "n_parameters": int(flat.size),
+    """Save the packed weight vector with save_raw."""
+    save_raw(path, pack_weights(weights), ("n_parameters",), {
+        **_weights_record(schedule),
         "layout": "per layer: kernel C-order then bias",
-        "schedule": _schedule_record(schedule),
         "training": record or {},
     })
 
 
 def load_weights(path, schedule):
-    """Load weights written by save_weights; returns (weights, descriptor).
-
-    ValueError unless they were trained under `schedule` (JSON keeps the
-    float exact, so the records compare by ==).
-    """
-    flat, descriptor = load_raw(path, "n_parameters")
-    trained, wanted = descriptor.get("schedule"), _schedule_record(schedule)
-    if trained != wanted:
-        raise ValueError(f"weights {path} were trained under schedule "
-                         f"{trained}, but this run's schedule is {wanted}")
+    """(weights, descriptor) of a save_weights file for this net, trained
+    under `schedule`."""
+    flat, descriptor = load_raw(path, ("n_parameters",), _weights_record(schedule))
     return unpack_weights(flat), descriptor

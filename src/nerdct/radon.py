@@ -286,30 +286,27 @@ def add_gaussian_noise(sino, sigma_y, seed):
     return sino + sigma_y * rng.normal_array(sino.shape)
 
 
-def save_sinogram(path, sino, geometry, view_indices, sigma_y=None, seed=None,
-                  provenance=None):
-    """Raw little-endian float64 dump plus a JSON sidecar at path + '.json'."""
-    sino = np.ascontiguousarray(np.asarray(sino, dtype=np.float64))
-    if sino.ndim != 3:
-        raise ValueError(f"expected (views, detectors, slices), got {sino.shape}")
-    if not np.all(np.isfinite(sino)):
-        raise ValueError("sinogram contains non-finite entries")
-    save_raw(path, sino, {
-        "n_views": int(sino.shape[0]),
-        "n_detectors": int(sino.shape[1]),
-        "nz": int(sino.shape[2]),
+SINOGRAM_KEYS = ("n_views", "n_detectors", "nz")
+
+
+def _operator_record(operator):
+    """What a sinogram's sidecar records of the operator that made it."""
+    return {"geometry": asdict(operator.geometry),
+            "view_indices": operator.view_indices.tolist(),
+            **dict(zip(SINOGRAM_KEYS, map(int, operator.sinogram_shape)))}
+
+
+def save_sinogram(path, sino, operator, sigma_y=None, seed=None, provenance=None):
+    """Save a (view, detector, slice) sinogram of `operator` with save_raw."""
+    save_raw(path, sino, SINOGRAM_KEYS, {
+        **_operator_record(operator),
         "layout": "C-order (view, detector, slice)",
-        "geometry": asdict(geometry),
-        "view_indices": [int(i) for i in view_indices],
         "sigma_y": sigma_y,
         "seed": seed,
         "provenance": provenance or {},
     })
 
 
-def load_sinogram(path):
-    """Load a sinogram written by save_sinogram; returns (sino, sidecar)."""
-    sino, sidecar = load_raw(path, "n_views", "n_detectors", "nz")
-    if not np.all(np.isfinite(sino)):
-        raise ValueError("sinogram contains non-finite entries")
-    return sino, sidecar
+def load_sinogram(path, operator):
+    """(sino, sidecar) of a save_sinogram file recorded under `operator`."""
+    return load_raw(path, SINOGRAM_KEYS, _operator_record(operator))

@@ -5,7 +5,9 @@ slowest axis, so ``vol[k]`` is the k-th axial slice.  Files on disk are the
 raw little-endian float64 buffer in that order, with a JSON sidecar at
 ``<path>.json`` recording dimensions, dtype and provenance.  Sinograms and
 weights use the same format: every raw array is written by `save_raw` and
-read by `load_raw`, and every JSON file by `write_json`.
+read by `load_raw`, which hold the one rule for every record (finite
+entries, shape fields, recorded fields compared as JSON text), and every
+JSON file is written by `write_json`.
 """
 
 import json
@@ -15,19 +17,7 @@ import os
 import numpy as np
 
 SLICE_AXES = ("axial", "coronal", "sagittal")  # planes normal to z, y, x
-
-
-def validate_volume(vol):
-    """Check shape/dtype/finiteness and return the array C-contiguous."""
-    vol = np.asarray(vol)
-    if vol.ndim != 3:
-        raise ValueError(f"expected 3 axes (nz, ny, nx), got shape {vol.shape}")
-    if vol.dtype != np.float64:
-        raise ValueError(f"expected float64 voxels, got {vol.dtype}")
-    if not np.all(np.isfinite(vol)):
-        bad = int(np.count_nonzero(~np.isfinite(vol)))
-        raise ValueError(f"volume contains {bad} non-finite voxels")
-    return np.ascontiguousarray(vol)
+VOLUME_KEYS = ("nz", "ny", "nx")  # the sidecar fields of a volume's shape
 
 
 def dz_forward(vol, out=None):
@@ -75,49 +65,75 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def save_raw(path, array, sidecar):
-    """Raw little-endian float64 dump in C order plus `sidecar` at path + '.json'."""
-    np.asarray(array, dtype="<f8").tofile(path)
-    write_json(path + ".json", {**sidecar, "dtype": "<f8"})
+def save_raw(path, array, shape_keys, record):
+    """Raw little-endian float64 dump in C order plus its sidecar at path + '.json'.
+
+    The sidecar holds `record`, the dtype and one field per `shape_keys`
+    entry, read from the array's shape.  ValueError unless the array has one
+    axis per shape key and only finite entries.
+    """
+    array = np.ascontiguousarray(array, dtype="<f8")
+    if array.ndim != len(shape_keys):
+        raise ValueError(f"{path}: expected {len(shape_keys)} axes {shape_keys}, "
+                         f"got shape {array.shape}")
+    _check_finite(path, array)
+    array.tofile(path)
+    write_json(path + ".json",
+               {**record, **dict(zip(shape_keys, array.shape)), "dtype": "<f8"})
 
 
-def load_raw(path, *shape_keys):
-    """(array, sidecar) of a save_raw file, shaped by the sidecar's `shape_keys`."""
+def load_raw(path, shape_keys, expected=None):
+    """(array, sidecar) of a save_raw file, shaped by the sidecar's `shape_keys`.
+
+    ValueError unless each shape key is a non-negative integer, the sidecar's
+    dtype and each field of `expected` equal the recorded ones as sorted-key
+    JSON text (so 23.0 differs from 23 and true from 1, while key order does
+    not matter), the file holds exactly that many entries, and all are finite.
+    """
     with open(path + ".json") as fh:
-        sidecar = json.load(fh)
+        try:
+            sidecar = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}.json: nested too deeply to parse") from None
     if not isinstance(sidecar, dict):
         raise ValueError(
             f"{path}.json: expected a JSON object, got {type(sidecar).__name__}")
-    shape = tuple(sidecar[key] for key in shape_keys)
+    shape = tuple(sidecar.get(key) for key in shape_keys)
     for key, n in zip(shape_keys, shape):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(
                 f"{path}.json: {key} must be a non-negative integer, got {n!r}"
             )
-    expected = math.prod(shape) * 8
+    for key, value in {"dtype": "<f8", **(expected or {})}.items():
+        recorded, wanted = (json.dumps(v, sort_keys=True) for v in (sidecar.get(key), value))
+        if recorded != wanted:
+            raise ValueError(f"{path}.json: {key} {recorded} does not match {wanted}")
+    size = math.prod(shape) * 8
     actual = os.path.getsize(path)
-    if actual != expected:
+    if actual != size:
         raise ValueError(
             f"{path}: size {actual} bytes does not match sidecar dims "
-            f"{shape} ({expected} bytes)"
+            f"{shape} ({size} bytes)"
         )
-    return np.fromfile(path, dtype="<f8").reshape(shape), sidecar
+    array = np.fromfile(path, dtype="<f8").reshape(shape)
+    _check_finite(path, array)
+    return array, sidecar
+
+
+def _check_finite(path, array):
+    bad = int(np.count_nonzero(~np.isfinite(array)))
+    if bad:
+        raise ValueError(f"{path}: {bad} non-finite entries")
 
 
 def save_volume(path, vol, provenance=None):
-    """Raw little-endian float64 dump plus a JSON sidecar at path + '.json'."""
-    vol = validate_volume(vol)
-    nz, ny, nx = vol.shape
-    save_raw(path, vol, {
-        "nx": int(nx),
-        "ny": int(ny),
-        "nz": int(nz),
+    """Save a (nz, ny, nx) volume with save_raw."""
+    save_raw(path, vol, VOLUME_KEYS, {
         "layout": "C-order (nz, ny, nx), z slowest",
         "provenance": provenance or {},
     })
 
 
-def load_volume(path):
-    """Load a raw volume written by save_volume; returns (volume, sidecar)."""
-    vol, sidecar = load_raw(path, "nz", "ny", "nx")
-    return validate_volume(vol), sidecar
+def load_volume(path, expected=None):
+    """(volume, sidecar) of a save_volume file; `expected` as in load_raw."""
+    return load_raw(path, VOLUME_KEYS, expected)

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerdct import load_volume, save_volume
 from nerdct.cli import main
@@ -148,34 +150,43 @@ def test_corrupted_sinogram_rejected(tmp_path):
     assert main(["reconstruct"] + args) == 1
 
 
-@pytest.mark.parametrize("method", ["sitcom", "nerd-a", "nerd-p", "dds"])
+@pytest.mark.parametrize("method", ["sitcom", "nerd-a", "nerd-p", "dds", "conv-weights"])
 def test_non_finite_sinogram_exit_1(tmp_path, capsys, method):
     # A NaN at a detector that no ray weight reads: without the load check
     # dds ran to the end with a NaN data residual and the others exited 2.
+    # The last case puts the NaN in the conv prior's weights instead, which
+    # used to exit 2 as well.
     args = BASE + paths_args(tmp_path)
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
-    sino = np.fromfile(tmp_path / "sino.f64", dtype="<f8")
-    sino[5] = np.nan
-    sino.tofile(tmp_path / "sino.f64")
+    target, run = "sino.f64", ["--method", method]
+    if method == "conv-weights":
+        assert main(["train-denoiser", "--set", "epochs=0"] + args) == 0
+        target, run = "weights.f64", ["--set", "prior=conv"]
+    values = np.fromfile(tmp_path / target, dtype="<f8")
+    values[5] = np.nan
+    values.tofile(tmp_path / target)
     capsys.readouterr()
-    assert main(["reconstruct", "--method", method] + args) == 1
+    assert main(["reconstruct"] + run + args) == 1
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "recon.f64").exists()
     assert not (tmp_path / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("edits", [
-    {"nz": 1.0}, {"nz": True}, {"nz": -1, "ny": -16},
+    {"nz": 1.0}, {"nz": True}, {"nz": -1, "ny": -16}, {"nz": None},
 ])
 def test_bad_volume_sidecar_dims_exit_1(tmp_path, capsys, edits):
     # A one-slice input volume, so every edit keeps the sidecar's byte-size
-    # product and only a check of the values themselves catches it.
+    # product and only a check of the values themselves catches it.  None
+    # drops the key, which used to print "error: 'nz'".
     args = BASE + paths_args(tmp_path)
     save_volume(str(tmp_path / "phantom.f64"), np.zeros((1, 16, 16)))
     sidecar_path = tmp_path / "phantom.f64.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    sidecar_path.write_text(json.dumps({**sidecar, **edits}))
+    sidecar = {key: value for key, value in
+               {**json.loads(sidecar_path.read_text()), **edits}.items()
+               if value is not None}
+    sidecar_path.write_text(json.dumps(sidecar))
     capsys.readouterr()
     assert main(["simulate"] + args) == 1
     assert "nz must be a non-negative integer" in capsys.readouterr().err
@@ -189,9 +200,11 @@ def test_bad_volume_sidecar_dims_exit_1(tmp_path, capsys, edits):
     lambda side: {**side, "geometry": {**side["geometry"], "detector_spacing": "x"}},
     lambda side: {**side, "geometry": {**side["geometry"], "detector_spacing": math.inf}},
     lambda side: [side],
+    lambda side: {key: value for key, value in side.items() if key != "nz"},
 ], ids=["null-geometry", "string-views", "float-detectors", "string-spacing",
-        "infinite-spacing", "list-sidecar"])
+        "infinite-spacing", "list-sidecar", "no-nz"])
 def test_malformed_sinogram_sidecar_exit_1(tmp_path, capsys, edit):
+    # The error names the sidecar it refuses.
     args = BASE + paths_args(tmp_path)
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
@@ -199,7 +212,7 @@ def test_malformed_sinogram_sidecar_exit_1(tmp_path, capsys, edit):
     sidecar_path.write_text(json.dumps(edit(json.loads(sidecar_path.read_text()))))
     capsys.readouterr()
     assert main(["reconstruct"] + args) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {sidecar_path}: ")
     assert not (tmp_path / "recon.f64").exists()
 
 
@@ -285,12 +298,22 @@ def test_reconstruct_with_conv_prior(tmp_path):
     assert (tmp_path / "recon.f64").exists()
 
 
-@pytest.mark.parametrize("trained", ["num_train_steps=50", "beta_end=0.5"])
+@pytest.mark.parametrize("trained", [
+    "num_train_steps=50", "beta_end=0.5", {"num_train_steps": 1000.0},
+])
 def test_reconstruct_rejects_weights_from_another_schedule(tmp_path, capsys, trained):
+    # A dict edits the recorded schedule: JSON text 1000.0 is not 1000.
     args = BASE + paths_args(tmp_path) + ["--set", "epochs=1"]
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
-    assert main(["train-denoiser", "--set", trained] + args) == 0
+    if isinstance(trained, dict):
+        assert main(["train-denoiser"] + args) == 0
+        sidecar_path = tmp_path / "weights.f64.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["schedule"].update(trained)
+        sidecar_path.write_text(json.dumps(sidecar))
+    else:
+        assert main(["train-denoiser", "--set", trained] + args) == 0
     capsys.readouterr()
     assert main(["reconstruct", "--set", "prior=conv"] + args) == 1
     err = capsys.readouterr().err
@@ -309,6 +332,84 @@ def test_evaluate_identical_volume_inf_serialization(tmp_path):
     assert main(["evaluate"] + args) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["views"]["axial"]["psnr_mean"] == "inf"
+
+
+# ------------------------------------------- mutated sidecars (property)
+
+# The smallest chain evaluate accepts: every view's slices hold the 11x11
+# SSIM window.
+TINY = [
+    "--set", "nx=12", "--set", "ny=12", "--set", "nz=12",
+    "--set", "n_angles_full=6", "--set", "n_views=3",
+    "--set", "n_steps=1", "--set", "inner_steps=1",
+    "--set", "epochs=0", "--set", "prior=conv",
+]
+# command: the artifacts it reads
+READS = {
+    "simulate": ("phantom.f64",),
+    "reconstruct": ("sino.f64", "weights.f64", "phantom.f64"),
+    "evaluate": ("recon.f64", "phantom.f64"),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tmp_path_factory):
+    """{file name: bytes} of a phantom, its sinogram, conv weights and a
+    reconstruction."""
+    root = tmp_path_factory.mktemp("chain")
+    args = TINY + paths_args(root)
+    for command in ("generate-phantom", "simulate", "train-denoiser", "reconstruct"):
+        assert main([command] + args) == 0
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+@st.composite
+def mutated(draw, sidecar):
+    """`sidecar` with one field, or one field of a nested record, dropped or
+    set to a nearby or arbitrary JSON value; or any JSON value instead."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(JSON_VALUES)
+    edited = json.loads(json.dumps(sidecar))
+    paths = [(key,) for key in sorted(sidecar)] + [
+        (key, inner) for key in sorted(sidecar) if isinstance(sidecar[key], dict)
+        for inner in sorted(sidecar[key])]
+    *outer, key = draw(st.sampled_from(paths))
+    record = edited[outer[0]] if outer else edited
+    if draw(st.integers(0, 3)) == 0:
+        del record[key]
+        return edited
+    value = record[key]
+    nearby = [None, str(value), [value]]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        nearby += [float(value), value + 1, -value, value == 1]
+    record[key] = draw(st.sampled_from(nearby) if draw(st.booleans()) else JSON_VALUES)
+    return edited
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mutated_sidecars_exit_0_1_or_2(tiny_chain, tmp_path_factory, data):
+    # A command fed a damaged record exits with a code, never a traceback,
+    # and on exit 1 leaves the directory as it found it.
+    command = data.draw(st.sampled_from(sorted(READS)))
+    reads = READS[command]
+    root = tmp_path_factory.mktemp("mutated")
+    for name in reads:
+        for file_name in (name, name + ".json"):
+            (root / file_name).write_bytes(tiny_chain[file_name])
+    target = data.draw(st.sampled_from(reads))
+    sidecar = json.loads(tiny_chain[target + ".json"])
+    (root / f"{target}.json").write_text(json.dumps(data.draw(mutated(sidecar))))
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    code = main([command] + TINY + paths_args(root))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
 
 # ------------------------------------------------------- config parsing

@@ -1,5 +1,6 @@
 """Package-wide lints: every public export has a caller outside its own tests,
-only `volume.py` reads or writes raw arrays and JSON, one function runs
+only `volume.py` reads or writes raw arrays and JSON or turns a record into
+JSON text (so recorded fields are compared by one rule), one function runs
 `cg_solve`, one sampler function `adam_step` and one function constructs
 `CTOperator` (`config.build_operator`), no module imports
 `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`, and
@@ -18,7 +19,7 @@ from nerdct.config import RunConfig
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nerdct"
 MODULES = {p.stem for p in PACKAGE.glob("*.py")}
-FORMAT_CALLS = {"tofile", "fromfile", "json.dump", "json.load"}
+FORMAT_CALLS = {"tofile", "fromfile", "json.dump", "json.dumps", "json.load"}
 
 
 def nodes(path):
@@ -76,7 +77,7 @@ def test_only_volume_module_does_file_format_io():
     offenders = {p.name: sorted(attribute_calls(p) & FORMAT_CALLS)
                  for p in sorted(PACKAGE.glob("*.py")) if p != owner}
     offenders = {name: calls for name, calls in offenders.items() if calls}
-    assert not offenders, f"raw-array/JSON IO outside volume.py: {offenders}"
+    assert not offenders, f"raw-array/JSON IO or JSON text outside volume.py: {offenders}"
 
 
 def calling_functions(path, name):

@@ -279,8 +279,8 @@ def test_sinogram_io_round_trip(tmp_path):
     op = CTOperator(16, 16, 2, geom, views)
     sino = op.forward(Xoshiro256PP(6).normal_array((2, 16, 16)))
     path = tmp_path / "sino.f64"
-    save_sinogram(str(path), sino, geom, views, sigma_y=0.1, seed=3)
-    loaded, meta = load_sinogram(str(path))
+    save_sinogram(str(path), sino, op, sigma_y=0.1, seed=3)
+    loaded, meta = load_sinogram(str(path), op)
     assert np.array_equal(loaded, sino)
     assert meta["geometry"]["n_angles_full"] == 12
     assert meta["geometry"]["n_detectors"] == 23
@@ -291,13 +291,13 @@ def test_sinogram_io_round_trip(tmp_path):
 
 
 def test_sinogram_io_size_mismatch(tmp_path):
-    geom = ProjectionGeometry(n_angles_full=6, n_detectors=11)
+    op = CTOperator(4, 4, 2, ProjectionGeometry(n_angles_full=6, n_detectors=11))
     sino = np.zeros((6, 11, 2))
     path = tmp_path / "sino.f64"
-    save_sinogram(str(path), sino, geom, list(range(6)))
+    save_sinogram(str(path), sino, op)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
-        load_sinogram(str(path))
+        load_sinogram(str(path), op)
 
 
 @given(nx=st.integers(4, 24), nz=st.integers(1, 5),

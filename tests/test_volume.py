@@ -12,7 +12,6 @@ from nerdct import (
     l2_norm_sq,
     load_volume,
     save_volume,
-    validate_volume,
 )
 from nerdct.rng import Xoshiro256PP
 
@@ -88,21 +87,28 @@ def test_dz_constant_along_z_is_zero():
     assert np.all(dz_forward(vol) == 0.0)
 
 
-def test_validate_volume_rejects_bad_input():
-    with pytest.raises(ValueError):
-        validate_volume(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        validate_volume(np.full((2, 2, 2), np.nan))
-    with pytest.raises(ValueError):
-        validate_volume(np.full((2, 2, 2), np.inf))
+def test_validate_volume_rejects_bad_input(tmp_path):
+    # save_volume validates: a wrong axis count or a non-finite voxel writes
+    # no file.
+    path = tmp_path / "vol.f64"
+    for bad in (np.zeros((3, 3)), np.full((2, 2, 2), np.nan),
+                np.full((2, 2, 2), np.inf)):
+        with pytest.raises(ValueError):
+            save_volume(str(path), bad)
+        assert not path.exists()
 
 
-def test_validate_volume_dtype_and_layout():
-    with pytest.raises(ValueError):
-        validate_volume(np.ones((3, 4, 5), dtype=np.float32))
-    out = validate_volume(np.asfortranarray(np.ones((3, 4, 5))))
-    assert out.dtype == np.float64
-    assert out.flags["C_CONTIGUOUS"]
+def test_validate_volume_dtype_and_layout(tmp_path):
+    # save_volume widens float32 to float64 and writes C order.
+    path = tmp_path / "vol.f64"
+    save_volume(str(path), np.arange(60, dtype=np.float32).reshape(3, 4, 5))
+    loaded, _ = load_volume(str(path))
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded, np.arange(60.0).reshape(3, 4, 5))
+    fortran = np.asfortranarray(np.arange(60.0).reshape(3, 4, 5))
+    save_volume(str(path), fortran)
+    assert path.read_bytes() == np.arange(60.0).tobytes()
+    assert load_volume(str(path))[0].flags["C_CONTIGUOUS"]
 
 
 def test_linalg_helpers():
@@ -158,4 +164,13 @@ def test_volume_io_rejects_bad_sidecar_dims(tmp_path, shape, edits):
     sidecar = json.loads(sidecar_path.read_text())
     sidecar_path.write_text(json.dumps({**sidecar, **edits}))
     with pytest.raises(ValueError, match="nz must be a non-negative integer"):
+        load_volume(str(path))
+
+
+def test_volume_io_rejects_deeply_nested_sidecar(tmp_path):
+    # json.load recurses once per level; a traceback used to escape the CLI.
+    path = tmp_path / "vol.f64"
+    save_volume(str(path), np.zeros((1, 1, 1)))
+    (tmp_path / "vol.f64.json").write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
         load_volume(str(path))
