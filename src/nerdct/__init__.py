@@ -1,7 +1,6 @@
 """Sparse-view 3D CT reconstruction with network-regularized diffusion sampling."""
 
 from .config import (
-    ConfigError,
     RunConfig,
     build_geometry,
     build_operator,

@@ -13,7 +13,6 @@ from dataclasses import asdict
 
 from . import convnet
 from .config import (
-    ConfigError,
     build_operator,
     build_prior,
     build_run_config,
@@ -29,20 +28,20 @@ from .volume import VOLUME_KEYS, load_volume, save_volume, write_json
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _load_config(args):
     file_values = {}
     if args.config is not None:
         if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
+            raise ValueError(f"config file not found: {args.config}")
         with open(args.config) as fh:
             file_values = parse_config_text(fh.read())
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     if args.method is not None:
@@ -56,7 +55,7 @@ def _load_config(args):
 
 def _require_file(path, what):
     if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
 
 
 def cmd_generate_phantom(cfg):
@@ -128,10 +127,9 @@ def cmd_evaluate(cfg):
     _require_file(cfg.volume_path, "reference volume")
     recon, _ = load_volume(cfg.recon_path)
     reference, _ = load_volume(cfg.volume_path, dict(zip(VOLUME_KEYS, recon.shape)))
-    report = evaluate_volume(
-        recon, reference, data_range=1.0, seed=cfg.seed, config=asdict(cfg)
-    )
-    write_json(cfg.report_path, report.to_dict())
+    report = evaluate_volume(recon, reference, data_range=1.0)
+    write_json(cfg.report_path,
+               {**report.to_dict(), "seed": cfg.seed, "config": asdict(cfg)})
     axial = report.views["axial"]
     print(
         f"wrote {cfg.report_path} (axial PSNR {axial.psnr_mean:.2f} dB, "
@@ -188,13 +186,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _load_config(args)
         return COMMANDS[args.command][0](cfg)
-    except (ConfigError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SamplerError, NonFiniteGradientError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,10 @@ annotation; a key whose default is None reads ``none``, ``auto`` or an
 empty value as None.  Unknown keys are rejected.
 ``lambda``, ``lambda_z`` and ``lambda_couple`` are accepted as aliases for
 the lam* fields.  The builders at the end wire a RunConfig into geometry,
-schedule, operator and prior; validation runs the first two.
+schedule, operator and prior; validation runs the geometry and schedule
+builders and the view selection.  Every rule raises ValueError.
 """
 
-import math
 from dataclasses import dataclass, fields
 
 from .convnet import ConvDenoiserPrior, load_weights
@@ -18,10 +18,6 @@ from .priors import GmmScalarPrior, IdentityPrior, validate_mixture
 from .radon import CTOperator, ProjectionGeometry, default_geometry, uniform_view_indices
 from .samplers import SamplerConfig
 from .schedule import NoiseSchedule
-
-
-class ConfigError(ValueError):
-    """Bad usage or configuration; maps to CLI exit code 1."""
 
 
 @dataclass
@@ -62,30 +58,23 @@ class RunConfig(SamplerConfig):
         super().validate()
         for name in ("nx", "ny", "nz"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.nx != self.ny:
-            raise ConfigError(f"axial slices must be square, got nx={self.nx}, ny={self.ny}")
+            raise ValueError(f"axial slices must be square, got nx={self.nx}, ny={self.ny}")
         if self.sigma_y < 0:
-            raise ConfigError(f"sigma_y must be >= 0, got {self.sigma_y}")
-        if not 1 <= self.n_views <= self.n_angles_full:
-            raise ConfigError(
-                f"need 1 <= n_views <= n_angles_full, got {self.n_views} of "
-                f"{self.n_angles_full}"
-            )
+            raise ValueError(f"sigma_y must be >= 0, got {self.sigma_y}")
         if self.prior not in ("gmm", "conv", "identity"):
-            raise ConfigError(f"prior must be gmm, conv or identity, got {self.prior!r}")
+            raise ValueError(f"prior must be gmm, conv or identity, got {self.prior!r}")
         parse_gmm_components(self.gmm_components)
-        try:
-            build_geometry(self)
-            build_schedule(self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        uniform_view_indices(self.n_angles_full, self.n_views)
+        build_geometry(self)
+        build_schedule(self)
         if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not self.train_lr > 0:
-            raise ConfigError(f"train_lr must be > 0, got {self.train_lr}")
+            raise ValueError(f"train_lr must be > 0, got {self.train_lr}")
         if not 0 < self.holdout_fraction < 1:
-            raise ConfigError(
+            raise ValueError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
         return self
@@ -105,16 +94,9 @@ def _coerce(name, text, target_type):
     if getattr(RunConfig, name) is None and text.lower() in ("", "none", "auto"):
         return None
     try:
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError("non-finite")
-            return value
-        return text
+        return target_type(text)
     except ValueError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"config key {name!r}: cannot parse {text!r} as {target_type.__name__}"
         ) from exc
 
@@ -127,7 +109,7 @@ def parse_config_text(text):
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -142,7 +124,7 @@ def build_run_config(file_values=None, overrides=None):
     cfg = RunConfig()
     for key, text in merged.items():
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, str(text), _FIELD_TYPES[key]))
     return cfg.validate()
 
@@ -182,20 +164,20 @@ def parse_gmm_components(text):
     """'w:mu:s,...' triples to checked (weights, means, stds) arrays."""
     triples = [chunk for chunk in text.split(",") if chunk.strip()]
     if not triples:
-        raise ConfigError("gmm_components must list at least one w:mu:s triple")
+        raise ValueError("gmm_components must list at least one w:mu:s triple")
     weights, means, stds = [], [], []
     for chunk in triples:
         parts = chunk.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"bad gmm component {chunk!r}, expected w:mu:s")
+            raise ValueError(f"bad gmm component {chunk!r}, expected w:mu:s")
         try:
             w, mu, s = (float(p) for p in parts)
         except ValueError as exc:
-            raise ConfigError(f"bad gmm component {chunk!r}: {exc}") from exc
+            raise ValueError(f"bad gmm component {chunk!r}: {exc}") from exc
         weights.append(w)
         means.append(mu)
         stds.append(s)
     try:
         return validate_mixture(weights, means, stds)
     except ValueError as exc:
-        raise ConfigError(f"gmm_components: {exc}") from exc
+        raise ValueError(f"gmm_components: {exc}") from exc

@@ -1,7 +1,7 @@
 """Reconstruction quality metrics and the per-axis evaluation report."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,25 +92,13 @@ class ViewStats:
 class Report:
     views: dict          # axis name -> ViewStats
     data_range: float
-    seed: int = None
-    config: dict = None
 
     def to_dict(self):
-        out = {
-            "data_range": self.data_range,
-            "seed": self.seed,
-            "config": self.config,
-            "views": {},
+        views = {
+            axis: {key: _json_float(value) for key, value in asdict(stats).items()}
+            for axis, stats in self.views.items()
         }
-        for axis, stats in self.views.items():
-            out["views"][axis] = {
-                "psnr_mean": _json_float(stats.psnr_mean),
-                "psnr_std": _json_float(stats.psnr_std),
-                "ssim_mean": _json_float(stats.ssim_mean),
-                "ssim_std": _json_float(stats.ssim_std),
-                "n_slices": stats.n_slices,
-            }
-        return out
+        return {"data_range": self.data_range, "views": views}
 
 
 def _json_float(value):
@@ -133,7 +121,7 @@ def _stats(values):
     return float(np.mean(values)), float(np.std(values))
 
 
-def evaluate_volume(candidate, reference, data_range=1.0, seed=None, config=None):
+def evaluate_volume(candidate, reference, data_range=1.0):
     """Per-slice PSNR/SSIM along axial, coronal, sagittal axes.
 
     Every slice of each view is scored and aggregated as mean/std.  A slice
@@ -157,4 +145,4 @@ def evaluate_volume(candidate, reference, data_range=1.0, seed=None, config=None
         ssim_mean, ssim_std = _stats(ssim_values)
         views[axis] = ViewStats(psnr_mean, psnr_std, ssim_mean, ssim_std,
                                 len(a_planes))
-    return Report(views=views, data_range=data_range, seed=seed, config=config)
+    return Report(views=views, data_range=data_range)

@@ -28,7 +28,7 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -125,10 +125,12 @@ class Sampler:
                 f"{operator.sinogram_shape}"
             )
         # Chambolle-Pock: tau * sigma * ||lam_z Dz||^2 < 1, with ||Dz||^2 <= 4.
-        step_product = config.tau * config.sigma * config.lam_z**2 * 4.0
-        if config.method == "nerd-p" and step_product >= 1.0:
-            logger.warning("nerd-p step sizes break the Chambolle-Pock condition: "
-                           "tau*sigma*lam_z^2*4 = %g >= 1", step_product)
+        # lam_z * lam_z overflows to inf, where lam_z**2 would raise.
+        if config.method == "nerd-p":
+            step_product = config.tau * config.sigma * config.lam_z * config.lam_z * 4.0
+            if step_product >= 1.0:
+                logger.warning("nerd-p step sizes break the Chambolle-Pock condition: "
+                               "tau*sigma*lam_z^2*4 = %g >= 1", step_product)
         if config.n_steps != schedule.n_sampling_steps:
             schedule = schedule.with_sampling_steps(config.n_steps)
         self.config = config
@@ -398,12 +400,8 @@ class Sampler:
 
 
 def save_trace(path, traces):
-    """CSV with columns step,t_index,data_residual,tv_z,psnr,wall_ms."""
-    lines = ["step,t_index,data_residual,tv_z,psnr,wall_ms"]
-    for rec in traces:
-        lines.append(
-            f"{rec.step},{rec.t_index},{rec.data_residual!r},"
-            f"{rec.tv_z!r},{rec.psnr!r},{rec.wall_ms!r}"
-        )
+    """CSV with one column per TraceRecord field, each value written as its repr."""
+    lines = [",".join(f.name for f in fields(TraceRecord))]
+    lines += [",".join(map(repr, astuple(rec))) for rec in traces]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

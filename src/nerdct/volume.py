@@ -69,13 +69,18 @@ def save_raw(path, array, shape_keys, record):
     """Raw little-endian float64 dump in C order plus its sidecar at path + '.json'.
 
     The sidecar holds `record`, the dtype and one field per `shape_keys`
-    entry, read from the array's shape.  ValueError unless the array has one
-    axis per shape key and only finite entries.
+    entry, read from the array's shape.  ValueError, with nothing written,
+    unless the array has one axis per shape key, each shape field that
+    `record` states equals the array's, and every entry is finite.
     """
     array = np.ascontiguousarray(array, dtype="<f8")
     if array.ndim != len(shape_keys):
         raise ValueError(f"{path}: expected {len(shape_keys)} axes {shape_keys}, "
                          f"got shape {array.shape}")
+    for key, n in zip(shape_keys, array.shape):
+        if key in record and record[key] != n:
+            raise ValueError(f"{path}: record states {key} {record[key]!r}, "
+                             f"the array has {n}")
     _check_finite(path, array)
     array.tofile(path)
     write_json(path + ".json",

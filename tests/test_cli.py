@@ -40,11 +40,16 @@ def run_pipeline(tmp_path, method="nerd-p", seed=0, extra=()):
 
 
 def test_full_pipeline_writes_all_artifacts(tmp_path):
-    run_pipeline(tmp_path)
+    # evaluate echoes its own config, so every command runs dds with seed 5.
+    run_pipeline(tmp_path, method="dds", seed=5,
+                 extra=["--set", "method=dds", "--set", "seed=5"])
     for name in ("phantom.f64", "phantom.f64.json", "sino.f64", "sino.f64.json",
                  "recon.f64", "recon.f64.json", "trace.csv", "report.json"):
         assert (tmp_path / name).exists(), name
     report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report) == {"config", "data_range", "seed", "views"}
+    assert report["seed"] == 5
+    assert report["config"]["method"] == "dds"
     assert set(report["views"]) == {"axial", "coronal", "sagittal"}
     trace = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert trace[0] == "step,t_index,data_residual,tv_z,psnr,wall_ms"

@@ -300,6 +300,17 @@ def test_sinogram_io_size_mismatch(tmp_path):
         load_sinogram(str(path), op)
 
 
+def test_save_sinogram_rejects_array_of_another_operator(tmp_path):
+    # A 6-view 8x8x2 operator records 6 views; a 5-view array must not be
+    # written under that record.
+    op = CTOperator(8, 8, 2, ProjectionGeometry(n_angles_full=6, n_detectors=12))
+    path = tmp_path / "sino.f64"
+    with pytest.raises(ValueError, match="n_views 6, the array has 5"):
+        save_sinogram(str(path), np.zeros((5, 12, 2)), op)
+    assert not path.exists()
+    assert not (tmp_path / "sino.f64.json").exists()
+
+
 @given(nx=st.integers(4, 24), nz=st.integers(1, 5),
        n_angles_full=st.integers(1, 40), data=st.data(),
        detector_spacing=st.floats(0.25, 4.0), seed=st.integers(0, 2**32))

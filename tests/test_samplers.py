@@ -449,6 +449,8 @@ def test_exact_solve_cg_breakdown_on_nan_operator(monkeypatch, method):
     ("nerd-p", 0.25, 1.0, 1.0, True),     # exactly 1
     ("nerd-p", 0.5, 1.0, 1.0, True),
     ("nerd-a", 0.5, 1.0, 1.0, False),     # no PDHG steps
+    ("nerd-a", 0.01, 0.05, 1e160, False), # lam_z^2 overflows a float
+    ("nerd-p", 0.01, 0.05, 1e160, True),
 ])
 def test_pdhg_step_size_condition_logged(caplog, method, tau, sigma, lam_z, warns):
     # Chambolle-Pock needs tau * sigma * lam_z^2 * ||Dz||^2 < 1, ||Dz||^2 <= 4.
@@ -567,10 +569,7 @@ def test_exact_solves_require_linear_prior():
 
 
 class _DoublingPrior(DenoiserPrior):
-    """f(x) = 2x: affine and flagged `is_linear`, yet not the f(v) = v the
-    exact solves assume."""
-
-    is_linear = True
+    """f(x) = 2x: affine, yet not the f(v) = v the exact solves assume."""
 
     def denoise(self, x_t, t):
         return 2.0 * x_t
