@@ -110,6 +110,7 @@ def cmd_reconstruct(cfg):
             "generator": f"reconstruct:{cfg.method}",
             "seed": cfg.seed,
             "sinogram": cfg.sinogram_path,
+            "config": asdict(cfg),
         },
     )
     save_trace(cfg.trace_path, traces)
@@ -128,8 +129,7 @@ def cmd_evaluate(cfg):
     recon, _ = load_volume(cfg.recon_path)
     reference, _ = load_volume(cfg.volume_path, dict(zip(VOLUME_KEYS, recon.shape)))
     report = evaluate_volume(recon, reference, data_range=1.0)
-    write_json(cfg.report_path,
-               {**report.to_dict(), "seed": cfg.seed, "config": asdict(cfg)})
+    write_json(cfg.report_path, report.to_dict())
     axial = report.views["axial"]
     print(
         f"wrote {cfg.report_path} (axial PSNR {axial.psnr_mean:.2f} dB, "

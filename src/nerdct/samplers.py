@@ -34,16 +34,12 @@ import numpy as np
 
 from .metrics import psnr
 from .optim import AdamState, adam_step, cg_solve, project_linf_ball, soft_threshold
-from .priors import IdentityPrior
 from .rng import Xoshiro256PP
 from .volume import dz_adjoint, dz_forward, l1_norm, l2_norm_sq
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("sitcom", "nerd-a", "nerd-p", "dds")
-
-_EXACT_TOL = 1e-11
-_EXACT_MAX_ITER = 20000
 
 
 class SamplerError(RuntimeError):
@@ -209,16 +205,14 @@ class Sampler:
     def _normal_buffers(self):
         return np.empty((3,) + self.volume_shape)
 
-    def _normal_solve(self, start, z=None, w=None, lam=0.0, anchor=None,
-                      tol=_EXACT_TOL, max_iter=_EXACT_MAX_ITER):
-        """CG from `start` on ||A x - y||^2 + lam ||x - anchor||^2
+    def _normal_solve(self, start, z, w):
+        """cg_max_iter CG steps from `start` on ||A x - y||^2
         + (rho/2) ||Dz x - z + w||^2 through its normal equation
 
-            (2 A^T A + rho Dz^T Dz + 2 lam I) x
-                = 2 A^T y + rho Dz^T (z - w) + 2 lam anchor.
+            (2 A^T A + rho Dz^T Dz) x = 2 A^T y + rho Dz^T (z - w).
 
-        rho is the run's ADMM penalty (0 outside nerd-a and dds).  The
-        operator writes into three buffers allocated once per run.
+        The step count, not a tolerance, ends the solve.  The operator
+        writes into three buffers allocated once per run.
         """
         rho = self.rho
         normal_buf, dz_buf, smooth_buf = self._normal_buffers
@@ -226,20 +220,14 @@ class Sampler:
         def apply_op(v):
             out = self.op.adjoint(self.op.forward(v), out=normal_buf)
             out *= 2.0
-            if rho != 0.0:
-                smooth = dz_adjoint(dz_forward(v, out=dz_buf), out=smooth_buf)
-                smooth *= rho
-                out += smooth
-            if lam != 0.0:
-                out += np.multiply(2.0 * lam, v, out=smooth_buf)
+            smooth = dz_adjoint(dz_forward(v, out=dz_buf), out=smooth_buf)
+            smooth *= rho
+            out += smooth
             return out
 
-        rhs = self._aty2
-        if rho != 0.0:
-            rhs = rhs + rho * dz_adjoint(z - w)
-        if lam != 0.0:
-            rhs = rhs + 2.0 * lam * anchor
-        result = cg_solve(apply_op, rhs, tol=tol, max_iter=max_iter, x0=start)
+        rhs = self._aty2 + rho * dz_adjoint(z - w)
+        result = cg_solve(apply_op, rhs, tol=0.0, max_iter=self.config.cg_max_iter,
+                          x0=start)
         if result.breakdown:
             raise SamplerError("CG breakdown in normal-equation solve")
         return result.x
@@ -252,7 +240,7 @@ class Sampler:
 
     # ------------------------------------------------------------- steps
 
-    def _admm_estimate(self, state, t, exact):
+    def _admm_estimate(self, state, t):
         """nerd-a, and sitcom as nerd-a with rho = 0.
 
         1. optimize v from x_t on ||A f(v) - y||^2 + lam ||v - x_t||^2
@@ -262,71 +250,53 @@ class Sampler:
         4. w <- w + Dz x0 - z.
         With rho = 0 the penalty and steps 3-4 drop out, which is sitcom.
         """
-        if exact:
-            v = self._normal_solve(state.x, state.z, state.w_dual,
-                                   lam=self.config.lam, anchor=state.x)
-        else:
-            def terms(blocks):
-                x0, vjp = self.prior.denoise_and_vjp(blocks[0], t)
-                resid = self.op.forward(x0) - self.y
-                loss = l2_norm_sq(resid)
-                cot = 2.0 * self.op.adjoint(resid)
-                if self.rho != 0.0:
-                    gap = dz_forward(x0) - state.z + state.w_dual
-                    loss += 0.5 * self.rho * l2_norm_sq(gap)
-                    cot += self.rho * dz_adjoint(gap)
-                return loss, vjp(cot)[None]
+        def terms(blocks):
+            x0, vjp = self.prior.denoise_and_vjp(blocks[0], t)
+            resid = self.op.forward(x0) - self.y
+            loss = l2_norm_sq(resid)
+            cot = 2.0 * self.op.adjoint(resid)
+            if self.rho != 0.0:
+                gap = dz_forward(x0) - state.z + state.w_dual
+                loss += 0.5 * self.rho * l2_norm_sq(gap)
+                cot += self.rho * dz_adjoint(gap)
+            return loss, vjp(cot)[None]
 
-            (v,), state.inner_losses = self._optimize(
-                state.x, t, state.x[None], terms, "input optimization")
+        (v,), state.inner_losses = self._optimize(
+            state.x, t, state.x[None], terms, "input optimization")
         x0 = self.prior.denoise(v, t)
         if self.rho != 0.0:
             state.z, state.w_dual = self._split_update(x0, state.z, state.w_dual)
         return x0
 
-    def _pdhg_estimate(self, state, t, exact):
+    def _pdhg_estimate(self, state, t):
         """nerd-p: primal-dual step with the coupling operator lam_z * Dz.
 
         The primal update starts from the current w ("w_bar <- w_t"), and
         the dual ascent reads the extrapolated point 2 w_new - w.  The pair
         (v, w) is optimized from (x_t, w_hat) on ||A w - y||^2 + lam ||v - x_t||^2
         + ||w - w_hat||^2 / (2 tau) + lam_couple ||f(v) - w||^2.
-
-        With the identity prior the exact joint minimizer has v = (lam x_t +
-        lam' w) / (lam + lam') in closed form, which leaves one normal solve
-        in w: the anchor terms ||w - w_hat||^2 / (2 tau) and
-        (lam lam' / (lam + lam')) ||w - x_t||^2 merge into one.
         """
         cfg = self.config
         w_hat = state.w - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
-        if exact:
-            lam_sum = cfg.lam + cfg.lam_couple
-            pull = cfg.lam * cfg.lam_couple / lam_sum if lam_sum else 0.0
-            weight = 0.5 / cfg.tau + pull
-            anchor = (0.5 / cfg.tau * w_hat + pull * state.x) / weight
-            w_new = self._normal_solve(w_hat, lam=weight, anchor=anchor)
-            v = ((cfg.lam * state.x + cfg.lam_couple * w_new) / lam_sum
-                 if lam_sum else state.x)
-        else:
-            pair = np.stack([state.x, w_hat])
-            grad = np.empty_like(pair)
+        pair = np.stack([state.x, w_hat])
+        grad = np.empty_like(pair)
 
-            def terms(blocks):
-                v, w = blocks
-                grad_v, grad_w = grad
-                resid = self.op.forward(w) - self.y
-                w_gap = w - w_hat
-                loss = l2_norm_sq(resid) + 0.5 / cfg.tau * l2_norm_sq(w_gap)
-                np.add(2.0 * self.op.adjoint(resid), w_gap / cfg.tau, out=grad_w)
-                x0, vjp = self.prior.denoise_and_vjp(v, t)
-                couple = x0 - w
-                loss += cfg.lam_couple * l2_norm_sq(couple)
-                np.multiply(2.0 * cfg.lam_couple, vjp(couple), out=grad_v)
-                grad_w -= 2.0 * cfg.lam_couple * couple
-                return loss, grad
+        def terms(blocks):
+            v, w = blocks
+            grad_v, grad_w = grad
+            resid = self.op.forward(w) - self.y
+            w_gap = w - w_hat
+            loss = l2_norm_sq(resid) + 0.5 / cfg.tau * l2_norm_sq(w_gap)
+            np.add(2.0 * self.op.adjoint(resid), w_gap / cfg.tau, out=grad_w)
+            x0, vjp = self.prior.denoise_and_vjp(v, t)
+            couple = x0 - w
+            loss += cfg.lam_couple * l2_norm_sq(couple)
+            np.multiply(2.0 * cfg.lam_couple, vjp(couple), out=grad_v)
+            grad_w -= 2.0 * cfg.lam_couple * couple
+            return loss, grad
 
-            (v, w_new), state.inner_losses = self._optimize(
-                state.x, t, pair, terms, "joint optimization")
+        (v, w_new), state.inner_losses = self._optimize(
+            state.x, t, pair, terms, "joint optimization")
         w_bar = 2.0 * w_new - state.w
         state.u = project_linf_ball(
             state.u + cfg.sigma * cfg.lam_z * dz_forward(w_bar)
@@ -336,33 +306,24 @@ class Sampler:
         state.w = w_new
         return self.prior.denoise(v, t)
 
-    def _dds_estimate(self, state, t, exact):
+    def _dds_estimate(self, state, t):
         """dds: denoise, then ADMM on ||A x - y||^2 + lam_z ||Dz x||_1.
 
-        Each ADMM iteration's x-update is cg_max_iter CG steps started from
-        the previous x; the step count, not a tolerance, ends the solve.
-        There is no inner optimizer, so `exact` is unused.
+        Each ADMM iteration's x-update is a fixed-budget normal solve
+        started from the previous x.
         """
         cfg = self.config
         x = self.prior.denoise(state.x, t)
         z = np.zeros_like(x)
         w = np.zeros_like(x)
         for _ in range(cfg.dds_admm_iters):
-            x = self._normal_solve(x, z, w, tol=0.0, max_iter=cfg.cg_max_iter)
+            x = self._normal_solve(x, z, w)
             z, w = self._split_update(x, z, w)
         return x
 
-    def step(self, state, t, t_next, resample=True, inner="adam"):
-        """Clean estimate at t by the method's estimator, then resample to t_next.
-
-        inner="exact" swaps the Adam inner loop for an exact CG solve of the
-        quadratic it minimizes when f(v) = v, so it needs the identity prior.
-        """
-        if inner not in ("adam", "exact"):
-            raise ValueError(f"unknown inner solver {inner!r}")
-        if inner == "exact" and not isinstance(self.prior, IdentityPrior):
-            raise SamplerError("exact inner solves need the identity prior")
-        state.x0 = self._estimate(state, t, inner == "exact")
+    def step(self, state, t, t_next, resample=True):
+        """Clean estimate at t by the method's estimator, then resample to t_next."""
+        state.x0 = self._estimate(state, t)
         if resample:
             state.x = self._resample(state.x0, t_next)
         return state.x0

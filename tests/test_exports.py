@@ -2,9 +2,10 @@
 only `volume.py` reads or writes raw arrays and JSON or turns a record into
 JSON text (so recorded fields are compared by one rule), one function runs
 `cg_solve`, one sampler function `adam_step` and one function constructs
-`CTOperator` (`config.build_operator`), no module imports
-`scipy.sparse`, only `radon.py` names its compiled `_sparsetools`, and
-README's config key table lists exactly the fields of `RunConfig`."""
+`CTOperator` (`config.build_operator`), `samplers.py` imports nothing from
+`priors.py` (so no sampler path depends on which prior it holds), no module
+imports `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`,
+and README's config key table lists exactly the fields of `RunConfig`."""
 
 import ast
 import os
@@ -117,6 +118,14 @@ def test_one_sampler_function_runs_adam_step():
     # nerd-a, sitcom and nerd-p share one Adam inner loop.
     callers = calling_functions(PACKAGE / "samplers.py", "adam_step")
     assert len(callers) == 1, sorted(callers)
+
+
+def test_samplers_import_nothing_from_priors():
+    # Samplers reach the prior only through its denoise and denoise_and_vjp.
+    offenders = [ast.unparse(node) for node in nodes(PACKAGE / "samplers.py")
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and "priors" in ast.unparse(node)]
+    assert not offenders, offenders
 
 
 def imported_modules(path):

@@ -8,7 +8,6 @@ import pytest
 
 from nerdct import (
     CTOperator,
-    DenoiserPrior,
     GmmScalarPrior,
     IdentityPrior,
     NoiseSchedule,
@@ -27,6 +26,7 @@ from nerdct import (
 from nerdct.optim import cg_solve
 from nerdct.rng import Xoshiro256PP
 from nerdct.samplers import METHODS, SamplerState
+from exact_inner import solve_inner_exactly
 from test_optim import cg_oracle
 
 NX, NZ = 16, 8
@@ -175,15 +175,6 @@ def test_save_trace_format(tmp_path):
     assert first[0] == "1"
     # repr round trip keeps full precision.
     assert float(first[2]) == traces[0].data_residual
-
-
-@pytest.mark.parametrize("method", ["sitcom", "nerd-a", "nerd-p", "dds"])
-def test_step_rejects_unknown_inner_solver(method):
-    op, _, y = small_problem()
-    sampler = Sampler(config(method), op, y, gmm_prior(), SCHED)
-    state = sampler.initialize()
-    with pytest.raises(ValueError, match="bogus"):
-        sampler.step(state, 1000, 500, inner="bogus")
 
 
 # ------------------------------------------------------------- sitcom
@@ -424,24 +415,18 @@ def test_dds_cg_runs_its_fixed_budget_silently(caplog, monkeypatch):
     assert caplog.records == []
 
 
-def nan_forward_step(monkeypatch, method, prior, inner):
+def nan_forward_step(monkeypatch, method, prior):
     op, _, y = small_problem(noise=0.05)
     sampler = Sampler(config(method, dds_admm_iters=1), op, y, prior, SCHED)
     state = sampler.initialize()
     monkeypatch.setattr(op, "forward", lambda vol: np.full(op.sinogram_shape, np.nan))
     with pytest.raises(SamplerError, match="CG breakdown"):
-        sampler.step(state, 1000, 500, resample=False, inner=inner)
+        sampler.step(state, 1000, 500, resample=False)
 
 
 def test_dds_cg_breakdown_on_nan_operator(monkeypatch):
     # NaN curvature is a breakdown, not a silent unconverged solve.
-    nan_forward_step(monkeypatch, "dds", gmm_prior(), "adam")
-
-
-@pytest.mark.parametrize("method", ["nerd-a", "nerd-p"])
-def test_exact_solve_cg_breakdown_on_nan_operator(monkeypatch, method):
-    # The exact inner solves run the same normal-equation solve as dds.
-    nan_forward_step(monkeypatch, method, IdentityPrior(), "exact")
+    nan_forward_step(monkeypatch, "dds", gmm_prior())
 
 
 @pytest.mark.parametrize("method, tau, sigma, lam_z, warns", [
@@ -485,7 +470,7 @@ def dense_dz_matrix_3d(shape):
 
 
 def exact_step(sampler, state):
-    return sampler.step(state, 500, 500, resample=False, inner="exact")
+    return solve_inner_exactly(sampler).step(state, 500, 500, resample=False)
 
 
 def test_exact_input_solve_matches_dense_solution():
@@ -559,32 +544,34 @@ def test_exact_joint_solve_without_anchor_or_coupling_keeps_input():
     assert np.all(np.isfinite(state.w))
 
 
-def test_exact_solves_require_linear_prior():
-    op, _, y = small_problem()
-    for method in METHODS:
-        sampler = Sampler(config(method), op, y, gmm_prior(), SCHED)
-        state = sampler.initialize()
-        with pytest.raises(SamplerError, match="identity prior"):
-            exact_step(sampler, state)
+# ----------------------------------------------------- inner gradients
 
+@pytest.mark.parametrize("method, kw", [
+    ("sitcom", {}),
+    ("nerd-a", {"rho": 1.5, "lam_z": 0.1}),
+    ("nerd-p", {}),
+])
+def test_inner_gradient_matches_finite_differences(method, kw):
+    # The GMM prior is not affine, so a gradient that skips its VJP shows
+    # here; with the identity prior it would pass unnoticed.
+    op, _, y = small_problem(noise=0.05)
+    sampler = Sampler(config(method, **kw), op, y, gmm_prior(), SCHED)
+    rng = Xoshiro256PP(21)
+    slopes = []
 
-class _DoublingPrior(DenoiserPrior):
-    """f(x) = 2x: affine, yet not the f(v) = v the exact solves assume."""
+    def check_terms(x_t, t, blocks, terms, what):
+        direction = rng.normal_array(blocks.shape)
+        slope = float(np.vdot(terms(blocks)[1], direction))
+        eps = 1e-5
+        central = (terms(blocks + eps * direction)[0]
+                   - terms(blocks - eps * direction)[0]) / (2.0 * eps)
+        slopes.append((slope, central))
+        return blocks, []
 
-    def denoise(self, x_t, t):
-        return 2.0 * x_t
-
-    def denoise_and_vjp(self, x_t, t):
-        return 2.0 * x_t, lambda cotangent: 2.0 * cotangent
-
-
-def test_exact_solves_reject_affine_non_identity_prior():
-    op, _, y = small_problem()
-    for method in METHODS:
-        sampler = Sampler(config(method), op, y, _DoublingPrior(), SCHED)
-        state = sampler.initialize()
-        with pytest.raises(SamplerError, match="identity prior"):
-            exact_step(sampler, state)
+    sampler._optimize = check_terms
+    sampler.step(sampler.initialize(), 500, 500, resample=False)
+    (slope, central), = slopes
+    assert abs(slope - central) <= 1e-6 * abs(slope), (slope, central)
 
 
 # ------------------------------------------------------------ failures
