@@ -12,8 +12,6 @@ from .config import (
 from .convnet import (
     ConvDenoiserPrior,
     conv_forward,
-    conv_input_vjp,
-    conv_weight_grad,
     load_weights,
     save_weights,
     train_denoiser,
@@ -49,7 +47,6 @@ from .samplers import (
 )
 from .schedule import (
     NoiseSchedule,
-    eps_from_denoiser,
     tweedie_denoise,
     uniform_sampling_steps,
 )

@@ -140,18 +140,6 @@ def _input_grad(grad_eps, weights, masks):
     return grad[0]
 
 
-def conv_input_vjp(x2d, t, weights, schedule, cotangent):
-    """d<cotangent, eps_hat>/d x2d (image channel only; t channel is constant)."""
-    _, inputs = _forward_cache(x2d, t, weights, schedule)
-    return _input_grad(cotangent, weights, [a > 0.0 for a in inputs[1:]])
-
-
-def conv_weight_grad(x2d, t, weights, schedule, cotangent):
-    """Per-layer (kernel, bias) gradients of <cotangent, eps_hat>."""
-    _, inputs = _forward_cache(x2d, t, weights, schedule)
-    return _backward(cotangent, weights, inputs)
-
-
 def pack_weights(weights):
     """Flatten layers to one vector: kernel then bias, layer by layer."""
     return np.concatenate(

@@ -120,15 +120,22 @@ class Sampler:
                 f"measurements {y.shape} do not match operator "
                 f"{operator.sinogram_shape}"
             )
-        # Chambolle-Pock: tau * sigma * ||lam_z Dz||^2 < 1, with ||Dz||^2 <= 4.
-        # lam_z * lam_z overflows to inf, where lam_z**2 would raise.
+        if schedule.n_sampling_steps != config.n_steps:
+            raise ValueError(
+                f"schedule has {schedule.n_sampling_steps} sampling steps, "
+                f"config n_steps is {config.n_steps}"
+            )
+        # Chambolle-Pock: tau * sigma * ||lam_z Dz||^2 < 1, where ||Dz||^2 is
+        # the path Laplacian's largest eigenvalue.  lam_z * lam_z overflows to
+        # inf, where lam_z**2 would raise.
         if config.method == "nerd-p":
-            step_product = config.tau * config.sigma * config.lam_z * config.lam_z * 4.0
+            nz = operator.nz
+            dz_norm_sq = 2.0 - 2.0 * math.cos(math.pi * (nz - 1) / nz)
+            step_product = (config.tau * config.sigma * config.lam_z * config.lam_z
+                            * dz_norm_sq)
             if step_product >= 1.0:
                 logger.warning("nerd-p step sizes break the Chambolle-Pock condition: "
-                               "tau*sigma*lam_z^2*4 = %g >= 1", step_product)
-        if config.n_steps != schedule.n_sampling_steps:
-            schedule = schedule.with_sampling_steps(config.n_steps)
+                               "tau*sigma*lam_z^2*||Dz||^2 = %g >= 1", step_product)
         self.config = config
         self.op = operator
         self.y = y
@@ -321,11 +328,10 @@ class Sampler:
             z, w = self._split_update(x, z, w)
         return x
 
-    def step(self, state, t, t_next, resample=True):
+    def step(self, state, t, t_next):
         """Clean estimate at t by the method's estimator, then resample to t_next."""
         state.x0 = self._estimate(state, t)
-        if resample:
-            state.x = self._resample(state.x0, t_next)
+        state.x = self._resample(state.x0, t_next)
         return state.x0
 
     # --------------------------------------------------------------- run

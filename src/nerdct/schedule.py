@@ -1,4 +1,4 @@
-"""Diffusion noise schedule and the posterior-mean/noise conversions."""
+"""Diffusion noise schedule and the Tweedie posterior-mean estimate."""
 
 from dataclasses import dataclass
 
@@ -63,10 +63,6 @@ class NoiseSchedule:
         steps = uniform_sampling_steps(num_train_steps, n_sampling_steps)
         return cls(alpha_bar, steps)
 
-    def with_sampling_steps(self, n_sampling_steps):
-        steps = uniform_sampling_steps(self.num_train_steps, n_sampling_steps)
-        return NoiseSchedule(self.alpha_bar, steps)
-
 
 def uniform_sampling_steps(num_train_steps, n_sampling_steps):
     """n strictly decreasing indices spread uniformly over [1, T]."""
@@ -93,11 +89,3 @@ def tweedie_denoise(x_t, t, eps_pred, schedule):
     """
     a = schedule.alpha_bar[t]
     return (x_t - np.sqrt(1.0 - a) * eps_pred) / np.sqrt(a)
-
-
-def eps_from_denoiser(x_t, t, x0_hat, schedule):
-    """Inverse map: the noise estimate implied by a clean-image estimate."""
-    a = schedule.alpha_bar[t]
-    if a >= 1.0:
-        raise ValueError("t = 0 has no noise component to recover")
-    return (x_t - np.sqrt(a) * x0_hat) / np.sqrt(1.0 - a)

@@ -14,6 +14,7 @@ import pytest
 
 from nerdct import (
     CTOperator,
+    ConvDenoiserPrior,
     GmmScalarPrior,
     IdentityPrior,
     NoiseSchedule,
@@ -22,23 +23,25 @@ from nerdct import (
     Xoshiro256PP,
     add_gaussian_noise,
     conv_forward,
-    conv_input_vjp,
-    conv_weight_grad,
     default_geometry,
     dz_forward,
-    eps_from_denoiser,
     evaluate_volume,
     l1_norm,
     l2_norm_sq,
     project_linf_ball,
     shepp_logan_3d,
     soft_threshold,
-    tweedie_denoise,
     uniform_view_indices,
 )
 from exact_inner import solve_inner_exactly
 from nerdct.cli import main
-from nerdct.convnet import init_weights, pack_weights, unpack_weights
+from nerdct.convnet import (
+    _backward,
+    _forward_cache,
+    init_weights,
+    pack_weights,
+    unpack_weights,
+)
 
 # ---------------------------------------------------------------- pinned
 # One-time oracle-run results for the 64x64x32 Shepp-Logan benchmark
@@ -174,15 +177,7 @@ def test_criterion_03_tweedie_exactness():
         se = float(np.sqrt(np.sum(w**2 * (x0 - est) ** 2)))
         got = float(prior.denoise(np.full((1, 1, 1), x_t), t)[0, 0, 0])
         assert abs(got - est) <= 3.0 * se, (got, est, se, t, x_t)
-    # eps/denoise round trip at machine precision.
-    rng = Xoshiro256PP(303)
-    x_t = rng.normal_array((4, 6, 6))
-    for t in (1000, 517, 40, 1):
-        x0 = GmmScalarPrior(sched, [1.0], [0.3], [0.2]).denoise(x_t, t)
-        eps = eps_from_denoiser(x_t, t, x0, sched)
-        back = tweedie_denoise(x_t, t, eps, sched)
-        assert np.max(np.abs(back - x0)) <= 1e-12
-    _pass(3, "20 GMM configs within 3 SE of 1e7-sample Monte Carlo; round trip <= 1e-12")
+    _pass(3, "20 GMM configs within 3 SE of 1e7-sample Monte Carlo")
 
 
 def _rel_err(a, b):
@@ -204,24 +199,27 @@ def test_criterion_04_gradient_correctness():
         fp = float(prior.denoise(arr + h, t)[0, 0, 0])
         fm = float(prior.denoise(arr - h, t)[0, 0, 0])
         assert _rel_err(an, (fp - fm) / (2 * h)) <= 1e-6
-    # Conv denoiser: input vjp and weight gradient against central differences
-    # of the scalar probe <c, net(x)>.
+    # Conv denoiser: the prior's fused VJP, the call the samplers make, against
+    # central differences of <c, prior(x)>; the weight gradient that training
+    # runs against those of <c, net(x)>.
     weights = init_weights(11)
     x2d = shepp_logan_3d(12, 12, 8)[4] + 0.05 * rng.normal_array((12, 12))
     t = 600
     cot = rng.normal_array((12, 12))
+    conv_prior = ConvDenoiserPrior(sched, weights)
 
     def probe_x(x):
-        return float(np.vdot(cot, conv_forward(x, t, weights, sched)))
+        return float(np.vdot(cot, conv_prior.denoise(x[None], t)))
 
-    grad_x = conv_input_vjp(x2d, t, weights, sched, cot)
+    grad_x = conv_prior.denoise_and_vjp(x2d[None], t)[1](cot[None])[0]
     for _ in range(50):
         i = rng.integers(0, 11, 1)[0]
         j = rng.integers(0, 11, 1)[0]
         xp = x2d.copy(); xp[i, j] += h
         xm = x2d.copy(); xm[i, j] -= h
         assert _rel_err(grad_x[i, j], (probe_x(xp) - probe_x(xm)) / (2 * h)) <= 1e-6
-    grad_w = pack_weights(conv_weight_grad(x2d, t, weights, sched, cot))
+    inputs = _forward_cache(x2d, t, weights, sched)[1]
+    grad_w = pack_weights(_backward(cot, weights, inputs))
     flat = pack_weights(weights)
     for _ in range(50):
         k = rng.integers(0, flat.size - 1, 1)[0]
@@ -324,21 +322,22 @@ def test_criterion_05_linear_surrogate_equivalence():
     sched = NoiseSchedule.linear_beta(n_sampling_steps=10)
     prior = IdentityPrior()
 
-    cfg_a = SamplerConfig(method="nerd-a", lam=0.0, lam_z=lam_z, rho=1.0, seed=0)
+    cfg_a = SamplerConfig(method="nerd-a", n_steps=10, lam=0.0, lam_z=lam_z, rho=1.0,
+                          seed=0)
     sampler_a = solve_inner_exactly(Sampler(cfg_a, op, y, prior, sched))
     state = sampler_a.initialize()
     for _ in range(500):
-        sampler_a.step(state, 500, 500, resample=False)
+        sampler_a.step(state, 500, 500)
     obj_a = objective(state.x0)
 
     # For this Neumann forward difference on nz=4, ||Dz||^2 = 2 + sqrt(2),
     # so tau*sigma*lam_z^2*||Dz||^2 = 0.956 < 1 keeps the iteration stable.
-    cfg_p = SamplerConfig(method="nerd-p", lam=0.0, lam_z=lam_z,
+    cfg_p = SamplerConfig(method="nerd-p", n_steps=10, lam=0.0, lam_z=lam_z,
                           tau=1.0, sigma=28.0, lam_couple=1.0, seed=0)
     sampler_p = solve_inner_exactly(Sampler(cfg_p, op, y, prior, sched))
     state = sampler_p.initialize()
     for _ in range(500):
-        sampler_p.step(state, 500, 500, resample=False)
+        sampler_p.step(state, 500, 500)
     obj_p = objective(state.w)
 
     assert abs(obj_a - ref_obj) <= 1e-3 * ref_obj, (obj_a, ref_obj)
@@ -443,7 +442,8 @@ def test_criterion_09_convergence_trace_shape():
     # dds with twice the budget: per-step mean axial PSNR must not reach the
     # nerd-p step-30 level before step 60.
     cfg = SamplerConfig(**{**DDS_PIN, "n_steps": 60})
-    sampler = Sampler(cfg, op, y, prior, sched)
+    sched60 = NoiseSchedule.linear_beta(n_sampling_steps=60)
+    sampler = Sampler(cfg, op, y, prior, sched60)
     state = sampler.initialize()
     steps = sampler.schedule.sampling_steps
     first = None

@@ -7,8 +7,6 @@ from nerdct import (
     ConvDenoiserPrior,
     NoiseSchedule,
     conv_forward,
-    conv_input_vjp,
-    conv_weight_grad,
     load_weights,
     save_weights,
     train_denoiser,
@@ -16,6 +14,8 @@ from nerdct import (
 from nerdct.convnet import (
     CHANNELS,
     KERNEL,
+    _backward,
+    _forward_cache,
     conv2d,
     conv2d_input_grad,
     denoising_loss,
@@ -131,20 +131,21 @@ def test_time_channel_matters():
 
 
 def test_input_vjp_matches_finite_differences():
-    weights = init_weights(5)
+    # The fused call the samplers make: Tweedie's step chained through the net.
+    prior = ConvDenoiserPrior(SCHED, init_weights(5))
     rng = Xoshiro256PP(6)
-    x = rng.normal_array((5, 6))
-    cot = rng.normal_array((5, 6))
-    g = conv_input_vjp(x, 400, weights, SCHED, cot)
+    x = rng.normal_array((1, 5, 6))
+    cot = rng.normal_array((1, 5, 6))
+    g = prior.denoise_and_vjp(x, 400)[1](cot)
     h = 1e-6
     for _ in range(20):
         i = int(rng.integers(0, 4, 1)[0])
         j = int(rng.integers(0, 5, 1)[0])
-        xp = x.copy(); xp[i, j] += h
-        xm = x.copy(); xm[i, j] -= h
-        fd = (np.sum(cot * conv_forward(xp, 400, weights, SCHED))
-              - np.sum(cot * conv_forward(xm, 400, weights, SCHED))) / (2 * h)
-        assert abs(g[i, j] - fd) <= 1e-6 * max(1.0, abs(fd))
+        xp = x.copy(); xp[0, i, j] += h
+        xm = x.copy(); xm[0, i, j] -= h
+        fd = (np.sum(cot * prior.denoise(xp, 400))
+              - np.sum(cot * prior.denoise(xm, 400))) / (2 * h)
+        assert abs(g[0, i, j] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_weight_grad_matches_finite_differences():
@@ -152,7 +153,8 @@ def test_weight_grad_matches_finite_differences():
     rng = Xoshiro256PP(8)
     x = rng.normal_array((5, 5))
     cot = rng.normal_array((5, 5))
-    grads = conv_weight_grad(x, 300, weights, SCHED, cot)
+    # The two calls denoising_loss makes, with the probe's cotangent.
+    grads = _backward(cot, weights, _forward_cache(x, 300, weights, SCHED)[1])
     h = 1e-6
     flat = pack_weights(weights)
     gflat = pack_weights(grads)
@@ -274,13 +276,6 @@ def test_prior_denoise_and_vjp_consistent_with_tweedie():
         eps_hat = conv_forward(vol[k], t, weights, SCHED)
         expected = (vol[k] - np.sqrt(1 - a) * eps_hat) / np.sqrt(a)
         assert np.allclose(out[k], expected, rtol=1e-12)
-    # vjp chains Tweedie through the network, slice by slice.
-    cot = rng.normal_array((3, 6, 6))
-    got = prior.input_vjp(vol, t, cot)
-    for k in range(3):
-        net_vjp = conv_input_vjp(vol[k], t, weights, SCHED, cot[k])
-        expected = (cot[k] - np.sqrt(1 - a) * net_vjp) / np.sqrt(a)
-        assert np.allclose(got[k], expected, rtol=1e-10)
 
 
 def test_prior_vjp_finite_difference_through_volume():
@@ -320,15 +315,14 @@ def test_prior_denoise_and_vjp_bit_identical_per_slice():
     vol = rng.normal_array((3, 7, 6))
     cot = rng.normal_array((3, 7, 6))
     t = 350
-    a = SCHED.alpha_bar[t]
     before = dict(vars(prior))
     x0, vjp = prior.denoise_and_vjp(vol, t)
     assert np.array_equal(x0, prior.denoise(vol, t))
     got = vjp(cot)
     for k in range(3):
-        net_vjp = conv_input_vjp(vol[k], t, weights, SCHED, cot[k])
-        expected = (cot[k] - np.sqrt(1 - a) * net_vjp) / np.sqrt(a)
-        assert np.array_equal(got[k], expected)
+        x0_k, vjp_k = prior.denoise_and_vjp(vol[k:k + 1], t)
+        assert np.array_equal(x0[k], x0_k[0])
+        assert np.array_equal(got[k], vjp_k(cot[k:k + 1])[0])
     assert np.array_equal(prior.input_vjp(vol, t, cot), got)
     assert vars(prior).keys() == before.keys()
     assert all(vars(prior)[key] is value for key, value in before.items())

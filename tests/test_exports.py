@@ -1,6 +1,7 @@
-"""Package-wide lints: every public export has a caller outside its own tests,
-only `volume.py` reads or writes raw arrays and JSON or turns a record into
-JSON text (so recorded fields are compared by one rule), one function runs
+"""Package-wide lints: every public export has a caller in `src/` or
+`benchmarks/` (a caller in `tests/` does not count), only `volume.py` reads
+or writes raw arrays and JSON or turns a record into JSON text (so recorded
+fields are compared by one rule), one function runs
 `cg_solve`, one sampler function `adam_step` and one function constructs
 `CTOperator` (`config.build_operator`), `samplers.py` imports nothing from
 `priors.py` (so no sampler path depends on which prior it holds), no module
@@ -53,9 +54,9 @@ def used_names(path):
 
 
 def test_every_export_is_used_outside_its_own_tests():
+    """Callers are the files of `src/` and `benchmarks/`, not of `tests/`."""
     callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers += sorted((ROOT / "benchmarks").glob("*.py"))
-    callers.append(ROOT / "tests" / "test_acceptance.py")
     used = set().union(*(used_names(p) for p in callers))
     unused = sorted(exported_names() - used)
     assert not unused, f"exported but used only by their own tests: {unused}"

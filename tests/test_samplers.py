@@ -105,15 +105,15 @@ def test_step_leaves_callers_x_t_unchanged(method, prior):
     state = sampler.initialize()
     x_t = state.x
     before = x_t.tobytes()
-    sampler.step(state, 500, 500, resample=False)
-    assert state.x is x_t
+    sampler.step(state, 500, 500)
     assert x_t.tobytes() == before
 
 
 def test_single_step_single_trace():
     op, _, y = small_problem()
     cfg = config("nerd-p", n_steps=1)
-    _, traces = Sampler(cfg, op, y, gmm_prior(), SCHED).run()
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=1)
+    _, traces = Sampler(cfg, op, y, gmm_prior(), sched).run()
     assert len(traces) == 1
     assert traces[0].step == 1
     assert traces[0].t_index == 1000
@@ -127,11 +127,16 @@ def test_trace_without_ground_truth_has_nan_psnr():
     assert all(np.isfinite(rec.tv_z) for rec in traces)
 
 
-def test_schedule_rederived_when_n_steps_differs():
+def test_schedule_step_count_must_match_n_steps(monkeypatch):
+    # A schedule of another length is refused before the stream is seeded.
+    def no_stream(seed):
+        raise AssertionError("the sampler seeded its stream")
+
+    monkeypatch.setattr("nerdct.samplers.Xoshiro256PP", no_stream)
     op, _, y = small_problem()
-    sampler = Sampler(config("sitcom", n_steps=6), op, y, gmm_prior(), SCHED)
-    assert sampler.schedule.n_sampling_steps == 6
-    assert len(sampler.schedule.sampling_steps) == 6
+    with pytest.raises(ValueError,
+                       match="schedule has 4 sampling steps, config n_steps is 6"):
+        Sampler(config("sitcom", n_steps=6), op, y, gmm_prior(), SCHED)
 
 
 def test_measurement_shape_validated():
@@ -200,7 +205,7 @@ def test_sitcom_huge_anchor_freezes_input():
     state = sampler.initialize()
     x_t = state.x.copy()
     t = int(SCHED.sampling_steps[0])
-    sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    sampler.step(state, t, int(SCHED.sampling_steps[1]))
     expected = sampler.prior.denoise(x_t, t)
     rel = np.linalg.norm(state.x0 - expected) / np.linalg.norm(expected)
     assert rel <= 1e-3
@@ -245,7 +250,7 @@ def test_nerd_a_z_update_is_prox_grid_oracle():
     state = sampler.initialize()
     w_before = state.w_dual.copy()
     t = int(SCHED.sampling_steps[0])
-    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]))
     target = dz_forward(x0) + w_before
     # z minimizes lam_z*|z| + rho/2*(z - target)^2 per coordinate.
     rng = Xoshiro256PP(12)
@@ -281,7 +286,8 @@ def test_nerd_a_state_persists_across_steps():
 def test_nerd_p_dual_feasible_every_step():
     op, phantom, y = small_problem(noise=0.05)
     cfg = config("nerd-p", sigma=50.0, n_steps=6)
-    sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=6)
+    sampler = Sampler(cfg, op, y, gmm_prior(), sched)
     state = sampler.initialize()
     steps = sampler.schedule.sampling_steps
     saw_active_dual = False
@@ -319,14 +325,15 @@ def test_nerd_p_lam_z_zero_keeps_dual_silent():
 def test_nerd_p_data_residual_improves():
     op, phantom, y = small_problem(noise=0.05)
     cfg = config("nerd-p", n_steps=8, inner_steps=10, lr=0.02)
-    _, traces = Sampler(cfg, op, y, gmm_prior(), SCHED, phantom).run()
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=8)
+    _, traces = Sampler(cfg, op, y, gmm_prior(), sched, phantom).run()
     assert traces[-1].data_residual <= traces[0].data_residual
 
 
 # ---------------------------------------------------------------- dds
 
-def test_dds_gamma_zero_full_view_reaches_least_squares():
-    # All views kept, no noise, l1 weight gamma = lam_z = 0 and a vanishing
+def test_dds_lam_z_zero_full_view_reaches_least_squares():
+    # All views kept, no noise, l1 weight lam_z = 0 and a vanishing
     # quadratic penalty: 2000 CG steps solve plain least squares, whose
     # residual is zero for consistent measurements.
     op, phantom, y = small_problem(views=None)
@@ -334,14 +341,14 @@ def test_dds_gamma_zero_full_view_reaches_least_squares():
     sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
     state = sampler.initialize()
     t = int(SCHED.sampling_steps[0])
-    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]))
     resid = np.sqrt(np.sum((op.forward(x0) - y) ** 2))
     # Normal-equation conditioning limits the reachable accuracy.
     assert resid <= 1e-5 * np.sqrt(np.sum(y**2))
 
 
-def test_dds_huge_gamma_smooths_along_z():
-    # gamma = lam_z >> everything saturates z at zero, so a single ADMM
+def test_dds_huge_lam_z_smooths_along_z():
+    # lam_z >> everything saturates z at zero, so a single ADMM
     # iteration already shrinks the slice-axis variation of the estimate.
     # Use the last (nearly noiseless) time index where the denoised start
     # is speckled rather than the flat prior mean.
@@ -351,7 +358,7 @@ def test_dds_huge_gamma_smooths_along_z():
     state = sampler.initialize()
     t = int(SCHED.sampling_steps[-1])
     before = sampler.prior.denoise(state.x, t)
-    x0 = sampler.step(state, t, 0, resample=False)
+    x0 = sampler.step(state, t, 0)
     assert l1_norm(dz_forward(x0)) < l1_norm(dz_forward(before))
 
 
@@ -362,7 +369,7 @@ def test_dds_zero_admm_iters_is_plain_denoising():
     state = sampler.initialize()
     x_t = state.x.copy()
     t = int(SCHED.sampling_steps[0])
-    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]), resample=False)
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[1]))
     assert np.array_equal(x0, sampler.prior.denoise(x_t, t))
 
 
@@ -389,7 +396,7 @@ def test_dds_step_matches_out_of_place_oracle():
         dz_x = dz_forward(x)
         z = soft_threshold(dz_x + w, lam_z / rho)
         w = w + dz_x - z
-    x0 = sampler.step(state, t, int(SCHED.sampling_steps[2]), resample=False)
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[2]))
     assert x0.tobytes() == x.tobytes()
 
 
@@ -421,7 +428,7 @@ def nan_forward_step(monkeypatch, method, prior):
     state = sampler.initialize()
     monkeypatch.setattr(op, "forward", lambda vol: np.full(op.sinogram_shape, np.nan))
     with pytest.raises(SamplerError, match="CG breakdown"):
-        sampler.step(state, 1000, 500, resample=False)
+        sampler.step(state, 1000, 500)
 
 
 def test_dds_cg_breakdown_on_nan_operator(monkeypatch):
@@ -430,20 +437,47 @@ def test_dds_cg_breakdown_on_nan_operator(monkeypatch):
 
 
 @pytest.mark.parametrize("method, tau, sigma, lam_z, warns", [
-    ("nerd-p", 0.01, 20.0, 0.05, False),  # the pins: 0.002
-    ("nerd-p", 0.25, 1.0, 1.0, True),     # exactly 1
+    ("nerd-p", 0.01, 20.0, 0.05, False),  # the pins: 0.0019
+    ("nerd-p", 0.26, 1.0, 1.0, True),     # 1.0004, just above 1
     ("nerd-p", 0.5, 1.0, 1.0, True),
     ("nerd-a", 0.5, 1.0, 1.0, False),     # no PDHG steps
     ("nerd-a", 0.01, 0.05, 1e160, False), # lam_z^2 overflows a float
     ("nerd-p", 0.01, 0.05, 1e160, True),
 ])
 def test_pdhg_step_size_condition_logged(caplog, method, tau, sigma, lam_z, warns):
-    # Chambolle-Pock needs tau * sigma * lam_z^2 * ||Dz||^2 < 1, ||Dz||^2 <= 4.
+    # Chambolle-Pock needs tau * sigma * lam_z^2 * ||Dz||^2 < 1; at NZ = 8,
+    # ||Dz||^2 = 2 + 2 cos(pi / 8) = 3.85.
     op, _, y = small_problem()
     cfg = config(method, tau=tau, sigma=sigma, lam_z=lam_z)
     with caplog.at_level(logging.WARNING, logger="nerdct.samplers"):
         Sampler(cfg, op, y, gmm_prior(), SCHED)
     assert any("Chambolle-Pock" in rec.message for rec in caplog.records) == warns
+
+
+def chambolle_pock_warnings(caplog, nz, **kw):
+    op = CTOperator(NX, NX, nz, GEOM, VIEWS)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="nerdct.samplers"):
+        Sampler(config("nerd-p", **kw), op, np.zeros(op.sinogram_shape),
+                gmm_prior(), SCHED)
+    return [rec for rec in caplog.records if "Chambolle-Pock" in rec.message]
+
+
+def test_pdhg_step_size_condition_uses_exact_dz_norm(caplog):
+    # With tau = sigma = lam_z = 1 the logged product is ||Dz||^2, the
+    # largest eigenvalue of the dense Dz^T Dz; at nz = 1 it is 0.
+    for nz in range(1, 13):
+        dmat = dense_dz_matrix_3d((nz, 1, 1))
+        expected = np.linalg.eigvalsh(dmat.T @ dmat)[-1]
+        logged = chambolle_pock_warnings(caplog, nz, tau=1.0, sigma=1.0, lam_z=1.0)
+        if nz == 1:
+            assert logged == [] and abs(expected) <= 1e-12
+        else:
+            (rec,) = logged
+            assert abs(rec.args[0] - expected) <= 1e-12, (nz, rec.args[0], expected)
+            assert "||Dz||^2" in rec.getMessage()
+    # Criterion 5's nerd-p settings give 0.956 < 1 at nz = 4, so they must not warn.
+    assert chambolle_pock_warnings(caplog, 4, tau=1.0, sigma=28.0, lam_z=0.1) == []
 
 
 # ----------------------------------------------------- exact inner solves
@@ -470,7 +504,7 @@ def dense_dz_matrix_3d(shape):
 
 
 def exact_step(sampler, state):
-    return solve_inner_exactly(sampler).step(state, 500, 500, resample=False)
+    return solve_inner_exactly(sampler).step(state, 500, 500)
 
 
 def test_exact_input_solve_matches_dense_solution():
@@ -569,7 +603,7 @@ def test_inner_gradient_matches_finite_differences(method, kw):
         return blocks, []
 
     sampler._optimize = check_terms
-    sampler.step(sampler.initialize(), 500, 500, resample=False)
+    sampler.step(sampler.initialize(), 500, 500)
     (slope, central), = slopes
     assert abs(slope - central) <= 1e-6 * abs(slope), (slope, central)
 
@@ -585,4 +619,4 @@ def test_overflowing_inner_objective_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SamplerError):
-            sampler.step(state, 1000, 500, resample=False)
+            sampler.step(state, 1000, 500)
