@@ -125,10 +125,12 @@ def _coo_tocsr(m, n, rows, cols, vals):
 def _ray_matrix(nx, ny, geometry, angle_indices):
     """CSR (len(angle_indices)*n_det, ny*nx) interpolation-weight matrix.
 
-    Each view's triplets become a CSR row block as soon as they are sampled,
-    so no more than one view's triplets exist at a time.  Views own disjoint
-    row blocks and `coo_tocsr` keeps input order within a row, so stacking
-    the blocks gives the arrays of one `coo_tocsr` over all views.  The
+    A first pass counts each view's in-grid triplets, so `indices` and
+    `data` are allocated once at their full size.  Each view's triplets then
+    become a CSR row block that is copied into them at once, so no more
+    than one view's triplets exist beside the matrix.  Views own disjoint
+    row blocks and `coo_tocsr` keeps input order within a row, so the
+    blocks in order give the arrays of one `coo_tocsr` over all views.  The
     canonicalisation after it is the sequence scipy's `coo_array.tocsr()`
     runs, so the arrays are byte-equal to scipy's.
     """
@@ -140,45 +142,53 @@ def _ray_matrix(nx, ny, geometry, angle_indices):
     angles = geometry.angles
     m, n = len(angle_indices) * n_det, ny * nx
 
-    row_counts, indices, data = [], [], []
-    for a_idx in angle_indices:
+    def samples(a_idx):
+        """Floor corners (ix0, iy0) and fractions (fx, fy) of one view's samples."""
         cos_t, sin_t = np.cos(angles[a_idx]), np.sin(angles[a_idx])
         px = cx + offsets[:, None] * cos_t - along[None, :] * sin_t
         py = cy + offsets[:, None] * sin_t + along[None, :] * cos_t
         ix0 = np.floor(px).astype(np.int64)
         iy0 = np.floor(py).astype(np.int64)
-        fx = px - ix0
-        fy = py - iy0
-        row = np.broadcast_to(np.arange(n_det)[:, None], px.shape)
+        return ix0, iy0, px - ix0, py - iy0
+
+    def corners(ix0, iy0):
+        """(dx, dy, mask of the samples whose corner lies in the grid) per corner."""
+        in_x = [(ix0 >= -d) & (ix0 < nx - d) for d in (0, 1)]
+        in_y = [(iy0 >= -d) & (iy0 < ny - d) for d in (0, 1)]
+        for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            yield dx, dy, in_x[dx] & in_y[dy]
+
+    nnz = sum(int(np.count_nonzero(corner[-1])) for a_idx in angle_indices
+              for corner in corners(*samples(a_idx)[:2]))
+    idx = _index_dtype(m, n, nnz)
+    indptr = np.zeros(m + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    row = np.broadcast_to(np.arange(n_det)[:, None], (n_det, n_samples))
+    start = 0
+    for view, a_idx in enumerate(angle_indices):
+        ix0, iy0, fx, fy = samples(a_idx)
+        voxel = iy0 * nx + ix0
         rows, cols, vals = [], [], []
-        for dx, dy, wt in (
-            (0, 0, (1 - fx) * (1 - fy)),
-            (1, 0, fx * (1 - fy)),
-            (0, 1, (1 - fx) * fy),
-            (1, 1, fx * fy),
-        ):
-            ix, iy = ix0 + dx, iy0 + dy
-            ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        for dx, dy, ok in corners(ix0, iy0):
             rows.append(row[ok])
-            cols.append((iy * nx + ix)[ok])
-            vals.append(wt[ok])
+            cols.append(voxel[ok] + (dy * nx + dx))
+            vals.append(((fx if dx else 1 - fx) * (fy if dy else 1 - fy))[ok])
         block = _coo_tocsr(n_det, n, np.concatenate(rows), np.concatenate(cols),
                            np.concatenate(vals))
-        row_counts.append(np.diff(block[0]))
-        indices.append(block[1])
-        data.append(block[2])
-
-    idx = _index_dtype(m, n, sum(map(len, data)))
-    indptr = np.zeros(m + 1, dtype=idx)
-    np.cumsum(np.concatenate(row_counts), out=indptr[1:])
-    indices = np.concatenate(indices, dtype=idx)
-    data = np.concatenate(data)
+        stop = start + len(block[2])
+        indptr[view * n_det + 1:(view + 1) * n_det + 1] = block[0][1:] + start
+        indices[start:stop] = block[1]
+        data[start:stop] = block[2]
+        start = stop
     if not _sparsetools.csr_has_canonical_format(m, indptr, indices):
         if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
             _sparsetools.csr_sort_indices(m, indptr, indices, data)
         _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
-        nnz = int(indptr[-1])
-        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+        # Shrink in place (no view of them exists): a trimmed copy would sit
+        # beside the full arrays.
+        indices.resize(indptr[-1], refcheck=False)
+        data.resize(indptr[-1], refcheck=False)
     return _Csr(indptr, indices, data, (m, n))
 
 

@@ -221,10 +221,15 @@ def test_denoise_and_vjp_bit_identical(case, t):
         grad = vjp(cot)
         ref_x0, ref_deriv = last_axis_reference(prior, x, t)
         assert np.array_equal(x0, prior.denoise(x, t))
-        assert np.array_equal(x0, ref_x0)
-        assert np.array_equal(grad, cot * ref_deriv)
+        if case == "far_tails":  # out of the table's range: the exact pass
+            assert np.array_equal(x0, ref_x0)
+            deriv = ref_deriv
+        else:
+            assert np.max(np.abs(x0 - ref_x0)) <= priors._TABLE_TOL
+            deriv = vjp(np.ones_like(x))
+        assert np.array_equal(grad, cot * deriv)
         assert np.array_equal(prior.input_vjp(x, t, cot), grad)
-        assert np.array_equal(prior.input_vjp(x, t, np.ones_like(x)), ref_deriv)
+        assert np.array_equal(prior.input_vjp(x, t, np.ones_like(x)), deriv)
     assert np.all(np.isfinite(x0)) and np.all(np.isfinite(grad))
     assert vars(prior).keys() == before.keys()
     assert all(vars(prior)[key] is value for key, value in before.items())
@@ -304,14 +309,84 @@ def test_calls_leave_prior_attributes_unchanged():
 
 def test_fused_call_allocation_peak():
     # The outputs take 1 MB at 16x64x64; the tile scratch adds about 1 MB
-    # for four components, where full (K, N) temporaries took 9 MB.
+    # for four components, where full (K, N) temporaries took 9 MB.  The
+    # first call at a new t (501) also builds its 0.5 MB table through the
+    # exact pass.
     prior, _ = make_prior(*BENCH_LIKE)
     x = 0.6 * Xoshiro256PP(15).normal_array((16, 64, 64)) + 0.3
     prior.denoise_and_vjp(x, 500)
-    tracemalloc.start()
-    try:
-        prior.denoise_and_vjp(x, 500)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3_000_000, peak
+    for t in (500, 501):
+        tracemalloc.start()
+        try:
+            prior.denoise_and_vjp(x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, (t, peak)
+
+
+NARROW = ([0.5, 0.5], [0.0, 1.0], [0.01, 0.01])
+
+
+def table_for(prior, t):
+    """The cached table of `prior` at t, or None where it failed its check."""
+    mixture = (prior.weights, prior.means, prior.stds)
+    return priors._table(*(tuple(v.tolist()) for v in mixture),
+                         float(prior.schedule.alpha_bar[t]))
+
+
+def exact_outputs(prior, x, t):
+    mixture = (prior.weights, prior.means, prior.stds)
+    return priors._exact_pass(mixture, float(prior.schedule.alpha_bar[t]), x, True)
+
+
+def test_table_within_tolerance_or_exact_bits():
+    # Every t of a 30-step schedule, on 1e5 points spread over the table's
+    # range: a kept table stays within tolerance of the exact pass, and a
+    # rejected one (the narrow prior at t = 1) leaves the exact pass's bits.
+    x = 2 * priors._TABLE_EDGE * np.array(Xoshiro256PP(16).uniforms(100_000)) - priors._TABLE_EDGE
+    kept = rejected = 0
+    for mixture in (BENCH_LIKE, NARROW):
+        prior, sched = make_prior(*mixture)
+        for t in sched.sampling_steps:
+            x0, vjp = prior.denoise_and_vjp(x, t)
+            ref_x0, ref_deriv = exact_outputs(prior, x, t)
+            if table_for(prior, t) is None:
+                rejected += 1
+                assert same_bits(x0, ref_x0) and same_bits(vjp(np.ones_like(x)), ref_deriv)
+            else:
+                kept += 1
+                assert np.max(np.abs(x0 - ref_x0)) <= priors._TABLE_TOL, t
+    assert kept and rejected
+
+
+@pytest.mark.parametrize("value", [9.0, -9.0, np.nan, np.inf, -np.inf])
+def test_one_voxel_out_of_range_takes_the_exact_pass(value):
+    prior, _ = make_prior(*BENCH_LIKE)
+    x = 0.6 * Xoshiro256PP(17).normal_array((3, TILE + 1)) + 0.3
+    x[2, 5] = value
+    assert table_for(prior, 500) is not None
+    x0, vjp = prior.denoise_and_vjp(x, 500)
+    ref_x0, ref_deriv = exact_outputs(prior, x, 500)
+    assert same_bits(x0, ref_x0) and same_bits(prior.denoise(x, 500), ref_x0)
+    assert same_bits(vjp(np.ones_like(x)), ref_deriv)
+
+
+def test_mixture_mutated_in_place_gets_a_fresh_table():
+    prior, _ = make_prior(*BENCH_LIKE)
+    x = 0.6 * Xoshiro256PP(18).normal_array((4, 5, 6)) + 0.3
+    before = prior.denoise(x, 500)
+    prior.means[1] += 0.1
+    after = prior.denoise(x, 500)
+    assert table_for(prior, 500) is not None
+    assert np.max(np.abs(after - exact_outputs(prior, x, 500)[0])) <= priors._TABLE_TOL
+    assert np.max(np.abs(after - before)) > 1e-3
+
+
+def test_one_table_cached_across_thirty_steps():
+    prior, sched = make_prior(*BENCH_LIKE)
+    x = 0.6 * Xoshiro256PP(19).normal_array((2, 3, 4)) + 0.3
+    for t in sched.sampling_steps:
+        prior.denoise_and_vjp(x, t)
+    info = priors._table.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
