@@ -168,9 +168,6 @@ class ConvDenoiserPrior(DenoiserPrior):
         self.schedule = schedule
         self.weights = weights
 
-    def denoise(self, x_t, t):
-        return self.denoise_and_vjp(x_t, t)[0]
-
     def denoise_and_vjp(self, x_t, t):
         """One forward pass per slice; the VJP reuses its hidden ReLU masks."""
         eps = np.empty_like(x_t)

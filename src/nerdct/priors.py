@@ -23,26 +23,26 @@ _TABLE_TOL = 1e-7
 
 
 class DenoiserPrior(abc.ABC):
-    """Posterior-mean denoiser with a matching input VJP."""
-
-    @abc.abstractmethod
-    def denoise(self, x_t, t):
-        """Estimate of the clean image given x_t at time index t."""
+    """Posterior-mean denoiser: a prior implements `denoise_and_vjp` only."""
 
     @abc.abstractmethod
     def denoise_and_vjp(self, x_t, t):
         """(denoise(x_t, t), vjp) in one pass: vjp(c) = d<c, denoise>/d x_t."""
 
+    def denoise(self, x_t, t):
+        """Estimate of the clean image given x_t at time index t."""
+        return self.denoise_and_vjp(x_t, t)[0]
+
     def input_vjp(self, x_t, t, cotangent):
-        """d<cotangent, denoise(x_t, t)> / d x_t."""
+        """d<cotangent, denoise(x_t, t)> / d x_t.
+
+        Kept only because the benchmark's tracer wraps it by name; it goes
+        with that tracer's change (ROADMAP item 3)."""
         return self.denoise_and_vjp(x_t, t)[1](cotangent)
 
 
 class IdentityPrior(DenoiserPrior):
     """f(x_t, t) = x_t; turns the samplers into plain linear solvers."""
-
-    def denoise(self, x_t, t):
-        return x_t
 
     def denoise_and_vjp(self, x_t, t):
         return x_t, lambda cotangent: cotangent
@@ -68,8 +68,8 @@ def validate_mixture(weights, means, stds):
     return weights, means, stds
 
 
-def _exact_pass(mixture, a, x, with_deriv):
-    """Posterior mean and (if asked) its derivative, in tiles of `_TILE` voxels.
+def _exact_pass(mixture, a, x):
+    """Posterior mean and its derivative, in tiles of `_TILE` voxels.
 
     `mixture` is (weights, means, stds), `a` is alpha_bar at the call's t
     and `x` a float64 array.  Each tile of a flat view works in (K, tile) scratch that stays in
@@ -90,7 +90,7 @@ def _exact_pass(mixture, a, x, with_deriv):
     tile = max(1, min(_TILE, n_vox))
     buffers, row = np.empty((4, n_comp * tile)), np.empty(tile)
     x0 = np.empty(x.shape)
-    deriv = np.empty(x.shape) if with_deriv else None
+    deriv = np.empty(x.shape)
     # Non-finite inputs propagate as NaN without warnings; callers
     # validate their outputs.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -112,8 +112,6 @@ def _exact_pass(mixture, a, x, with_deriv):
             cond_mean /= var_k
             np.multiply(resp, cond_mean, out=scratch)
             np.sum(scratch, axis=0, out=x0.reshape(-1)[lo:hi])
-            if not with_deriv:
-                continue
             # sum_k resp * (c_k + (g_k - gbar) * cond_mean); g_k = -centred/var_k
             log_grad = np.negative(centred, out=centred)
             log_grad /= var_k
@@ -126,8 +124,8 @@ def _exact_pass(mixture, a, x, with_deriv):
     return x0, deriv
 
 
-def _table_pass(coef, x, with_deriv):
-    """The table's value and (if asked) derivative at x in range, in tiles.
+def _table_pass(coef, x):
+    """The table's value and derivative at x in range, in tiles.
 
     Cell i starts at node x_i = i*_TABLE_STEP - _TABLE_EDGE and holds
     p(s) = c0 + s*(c1 + s*(c2 + s*c3)) for s = (x - x_i)/_TABLE_STEP in
@@ -138,7 +136,7 @@ def _table_pass(coef, x, with_deriv):
     tile = max(1, min(_TILE, n_vox))
     pos, cell, gathered = np.empty(tile), np.empty(tile, np.intp), np.empty((tile, 4))
     x0 = np.empty(x.shape)
-    deriv = np.empty(x.shape) if with_deriv else None
+    deriv = np.empty(x.shape)
     for lo in range(0, n_vox, tile):
         hi = min(lo + tile, n_vox)
         s, index, c = pos[:hi - lo], cell[:hi - lo], gathered[:hi - lo]
@@ -155,8 +153,6 @@ def _table_pass(coef, x, with_deriv):
         out += c[:, 1]
         out *= s
         out += c[:, 0]
-        if not with_deriv:
-            continue
         out = deriv.reshape(-1)[lo:hi]
         np.multiply(c[:, 3], 3.0 * s, out=out)  # (3 c3 s + 2 c2) s + c1
         out += 2.0 * c[:, 2]
@@ -178,7 +174,7 @@ def _table(weights, means, stds, a):
     """
     mixture = tuple(np.array(v) for v in (weights, means, stds))
     nodes = np.arange(_TABLE_CELLS + 1) * _TABLE_STEP - _TABLE_EDGE
-    f, slope = _exact_pass(mixture, a, nodes, with_deriv=True)
+    f, slope = _exact_pass(mixture, a, nodes)
     # The Hermite cubic of each cell matches f and its slope at both nodes.
     slope *= _TABLE_STEP
     rise = np.diff(f)
@@ -188,8 +184,8 @@ def _table(weights, means, stds, a):
     coef[:, 2] = 3.0 * rise - 2.0 * slope[:-1] - slope[1:]
     coef[:, 3] = slope[:-1] + slope[1:] - 2.0 * rise
     midpoints = nodes[:-1] + 0.5 * _TABLE_STEP
-    error = _table_pass(coef, midpoints, with_deriv=False)[0]
-    error -= _exact_pass(mixture, a, midpoints, with_deriv=False)[0]
+    error = _table_pass(coef, midpoints)[0]
+    error -= _exact_pass(mixture, a, midpoints)[0]
     coef.flags.writeable = False  # every caller at this t shares it
     return coef if np.max(np.abs(error)) <= _TABLE_TOL else None
 
@@ -217,20 +213,13 @@ class GmmScalarPrior(DenoiserPrior):
         self.schedule = schedule
         self.weights, self.means, self.stds = validate_mixture(weights, means, stds)
 
-    def _posterior(self, x_t, t, with_deriv):
+    def denoise_and_vjp(self, x_t, t):
         a = float(self.schedule.alpha_bar[t])
         x = np.asarray(x_t, dtype=np.float64)
         mixture = (self.weights, self.means, self.stds)
+        coef = None
         # NaN fails both comparisons.
         if x.size and -_TABLE_EDGE <= x.min() and x.max() <= _TABLE_EDGE:
             coef = _table(*(tuple(v.tolist()) for v in mixture), a)
-            if coef is not None:
-                return _table_pass(coef, x, with_deriv)
-        return _exact_pass(mixture, a, x, with_deriv)
-
-    def denoise(self, x_t, t):
-        return self._posterior(x_t, t, with_deriv=False)[0]
-
-    def denoise_and_vjp(self, x_t, t):
-        x0, deriv = self._posterior(x_t, t, with_deriv=True)
+        x0, deriv = _exact_pass(mixture, a, x) if coef is None else _table_pass(coef, x)
         return x0, lambda cotangent: cotangent * deriv

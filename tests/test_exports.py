@@ -3,7 +3,9 @@
 or writes raw arrays and JSON or turns a record into JSON text (so recorded
 fields are compared by one rule), one function runs
 `cg_solve`, one sampler function `adam_step` and one function constructs
-`CTOperator` (`config.build_operator`), `samplers.py` imports nothing from
+`CTOperator` (`config.build_operator`), no class but `DenoiserPrior` defines
+`denoise` or `input_vjp` (a prior implements only `denoise_and_vjp`),
+`samplers.py` imports nothing from
 `priors.py` (so no sampler path depends on which prior it holds), no module
 imports `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`,
 and README's config key table lists exactly the fields of `RunConfig`."""
@@ -106,6 +108,18 @@ def test_one_function_runs_cg_solve():
     callers = set().union(*(calling_functions(p, "cg_solve")
                             for p in sorted(PACKAGE.glob("*.py"))))
     assert len(callers) == 1, sorted(callers)
+
+
+def test_only_the_prior_base_defines_denoise_and_input_vjp():
+    # Every prior gets its value and its VJP from its one fused call.
+    definers = sorted(
+        f"{p.stem}.{node.name}.{item.name}"
+        for p in sorted(PACKAGE.glob("*.py")) for node in nodes(p)
+        if isinstance(node, ast.ClassDef) and node.name != "DenoiserPrior"
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in ("denoise", "input_vjp"))
+    assert not definers, definers
 
 
 def test_one_function_constructs_ct_operator():

@@ -161,8 +161,22 @@ def test_identity_prior():
     assert vars(prior) == {}
 
 
-def test_prior_interface_has_two_abstract_methods():
-    assert DenoiserPrior.__abstractmethods__ == {"denoise", "denoise_and_vjp"}
+class SquarePrior(DenoiserPrior):
+    """f(x) = x * x, defining only the one abstract call."""
+
+    def denoise_and_vjp(self, x_t, t):
+        return x_t * x_t, lambda cotangent: 2.0 * x_t * cotangent
+
+
+def test_prior_interface_has_one_abstract_method():
+    # denoise and input_vjp are the fused call's value and VJP, bit for bit.
+    assert DenoiserPrior.__abstractmethods__ == {"denoise_and_vjp"}
+    prior = SquarePrior()
+    x = Xoshiro256PP(20).normal_array((2, 3, 4))
+    cot = Xoshiro256PP(21).normal_array(x.shape)
+    x0, vjp = prior.denoise_and_vjp(x, 500)
+    assert prior.denoise(x, 500).tobytes() == x0.tobytes()
+    assert prior.input_vjp(x, 500, cot).tobytes() == vjp(cot).tobytes()
 
 
 def test_no_saturation_overflow():
@@ -221,6 +235,7 @@ def test_denoise_and_vjp_bit_identical(case, t):
         grad = vjp(cot)
         ref_x0, ref_deriv = last_axis_reference(prior, x, t)
         assert np.array_equal(x0, prior.denoise(x, t))
+        assert value_is_fused(prior, x, t)
         if case == "far_tails":  # out of the table's range: the exact pass
             assert np.array_equal(x0, ref_x0)
             deriv = ref_deriv
@@ -243,6 +258,11 @@ def same_bits(a, b):
     """Equal shapes and bytes: stricter than array_equal, which lets -0.0 == 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def value_is_fused(prior, x, t):
+    """denoise(x, t) has the bytes of denoise_and_vjp(x, t)'s value."""
+    return prior.denoise(x, t).tobytes() == prior.denoise_and_vjp(x, t)[0].tobytes()
 
 
 def fused_outputs(prior, x, t, cot):
@@ -292,6 +312,7 @@ def test_non_finite_inputs_propagate_without_warnings():
         for out in (x0, grad, alone):
             assert np.all(np.isnan(out[bad]))
             assert np.isfinite(np.delete(out, bad)).all()
+        assert value_is_fused(prior, x, t)
 
 
 def test_calls_leave_prior_attributes_unchanged():
@@ -337,7 +358,7 @@ def table_for(prior, t):
 
 def exact_outputs(prior, x, t):
     mixture = (prior.weights, prior.means, prior.stds)
-    return priors._exact_pass(mixture, float(prior.schedule.alpha_bar[t]), x, True)
+    return priors._exact_pass(mixture, float(prior.schedule.alpha_bar[t]), x)
 
 
 def test_table_within_tolerance_or_exact_bits():
@@ -357,6 +378,7 @@ def test_table_within_tolerance_or_exact_bits():
             else:
                 kept += 1
                 assert np.max(np.abs(x0 - ref_x0)) <= priors._TABLE_TOL, t
+            assert value_is_fused(prior, x, t), t
     assert kept and rejected
 
 
@@ -370,6 +392,7 @@ def test_one_voxel_out_of_range_takes_the_exact_pass(value):
     ref_x0, ref_deriv = exact_outputs(prior, x, 500)
     assert same_bits(x0, ref_x0) and same_bits(prior.denoise(x, 500), ref_x0)
     assert same_bits(vjp(np.ones_like(x)), ref_deriv)
+    assert value_is_fused(prior, x, 500)
 
 
 def test_mixture_mutated_in_place_gets_a_fresh_table():
@@ -381,6 +404,7 @@ def test_mixture_mutated_in_place_gets_a_fresh_table():
     assert table_for(prior, 500) is not None
     assert np.max(np.abs(after - exact_outputs(prior, x, 500)[0])) <= priors._TABLE_TOL
     assert np.max(np.abs(after - before)) > 1e-3
+    assert value_is_fused(prior, x, 500)
 
 
 def test_one_table_cached_across_thirty_steps():
