@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .volume import _dot
+
 
 class NonFiniteGradientError(ValueError):
     """Raised when an optimizer receives a NaN/inf gradient."""
@@ -95,21 +97,21 @@ def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
     r = b - apply_op(x)
     d = r.copy()
     scratch = np.empty_like(b)
-    rs = float(np.dot(r.ravel(), r.ravel()))
-    b_norm = float(np.linalg.norm(b.ravel()))
+    rs = _dot(r, r)
+    b_norm = np.sqrt(_dot(b, b))
     norms = [np.sqrt(rs)]
     iterations = 0
     for _ in range(max_iter):
         if norms[-1] <= tol * b_norm:
             return CGResult(x, True, iterations, norms)
         op_d = apply_op(d)
-        curvature = float(np.dot(d.ravel(), op_d.ravel()))
+        curvature = _dot(d, op_d)
         if not curvature > 0.0:
             return CGResult(x, False, iterations, norms, breakdown=True)
         alpha = rs / curvature
         x += np.multiply(alpha, d, out=scratch)
         r -= np.multiply(alpha, op_d, out=scratch)
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
+        rs_new = _dot(r, r)
         d *= rs_new / rs
         d += r
         rs = rs_new

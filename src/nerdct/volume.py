@@ -48,10 +48,18 @@ def dz_adjoint(grad, out=None):
     return out
 
 
-def l2_norm_sq(a):
-    # An overflowing sum is inf, which callers check; no RuntimeWarning.
+def _dot(a, b):
+    """Sum of a*b over all entries, in one order at any BLAS thread count.
+
+    np.dot splits a long sum across BLAS threads; einsum does not.  An
+    overflowing sum is inf, which callers check; no RuntimeWarning.
+    """
     with np.errstate(over="ignore"):
-        return float(np.dot(a.ravel(), a.ravel()))
+        return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+def l2_norm_sq(a):
+    return _dot(a, a)
 
 
 def l1_norm(a):

@@ -14,6 +14,7 @@ from nerdct import (
     soft_threshold,
 )
 from nerdct.rng import Xoshiro256PP
+from nerdct.volume import _dot
 
 
 # ---------------------------------------------------------------- Adam
@@ -204,17 +205,17 @@ def cg_oracle(apply_op, b, tol, max_iter, x0):
     x = np.array(x0, dtype=np.float64)
     r = b - apply_op(x)
     d = r.copy()
-    rs = float(np.dot(r.ravel(), r.ravel()))
-    b_norm = float(np.linalg.norm(b.ravel()))
+    rs = _dot(r, r)
+    b_norm = np.sqrt(_dot(b, b))
     norms = [np.sqrt(rs)]
     for _ in range(max_iter):
         if norms[-1] <= tol * b_norm:
             break
         op_d = apply_op(d)
-        alpha = rs / float(np.dot(d.ravel(), op_d.ravel()))
+        alpha = rs / _dot(d, op_d)
         x = x + alpha * d
         r = r - alpha * op_d
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
+        rs_new = _dot(r, r)
         d = r + (rs_new / rs) * d
         rs = rs_new
         norms.append(np.sqrt(rs))

@@ -1,7 +1,11 @@
 """Sampler behavior: stream discipline, reductions, duals, and traces."""
 
 import logging
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from nerdct.samplers import METHODS, SamplerState
 from exact_inner import solve_inner_exactly
 from test_optim import cg_oracle
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 NX, NZ = 16, 8
 GEOM = default_geometry(NX, 12)
 VIEWS = uniform_view_indices(12, 4)
@@ -398,6 +403,37 @@ def test_dds_step_matches_out_of_place_oracle():
         w = w + dz_x - z
     x0 = sampler.step(state, t, int(SCHED.sampling_steps[2]))
     assert x0.tobytes() == x.tobytes()
+
+
+# A 2-step dds run on 64x64x16, where each reduction spans 65,536 voxels:
+# long enough for BLAS to split a dot across threads.  Prints the sha256 of
+# x0 and the trace rows without wall_ms.
+BLAS_THREADS_RUN = """
+import hashlib, json
+from dataclasses import astuple
+from nerdct import (CTOperator, GmmScalarPrior, NoiseSchedule, Sampler, SamplerConfig,
+                    default_geometry, shepp_logan_3d, uniform_view_indices)
+op = CTOperator(64, 64, 16, default_geometry(64, 180), uniform_view_indices(180, 8))
+phantom = shepp_logan_3d(64, 64, 16)
+sched = NoiseSchedule.linear_beta(n_sampling_steps=2)
+prior = GmmScalarPrior(sched, [0.8, 0.15, 0.05], [0.0, 0.2, 1.0], [0.05, 0.05, 0.05])
+config = SamplerConfig(method="dds", n_steps=2)
+x0, traces = Sampler(config, op, op.forward(phantom), prior, sched, phantom).run()
+print(json.dumps([hashlib.sha256(x0.tobytes()).hexdigest(),
+                  [astuple(record)[:-1] for record in traces]]))
+"""
+
+
+def test_dds_bits_do_not_depend_on_blas_threads():
+    # CG's and the loss's sums reduce in one order whatever the thread count.
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_dds_cg_runs_its_fixed_budget_silently(caplog, monkeypatch):
