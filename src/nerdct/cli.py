@@ -3,13 +3,16 @@
 Commands: generate-phantom, simulate, reconstruct, evaluate, train-denoiser.
 Each reads a flat key-value config file (--config), applies --set overrides,
 and writes its outputs next to the configured paths.  Exit codes: 0 on
-success, 1 for usage/config errors, 2 for runtime or numeric failures.
+success, 1 for usage/config errors, 2 for runtime or numeric failures,
+floating-point overflow, division by zero and invalid operations included.
 """
 
 import argparse
 import os
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from . import convnet
 from .config import (
@@ -185,7 +188,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        return COMMANDS[args.command][0](cfg)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return COMMANDS[args.command][0](cfg)
     except (SamplerError, NonFiniteGradientError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,8 @@ class DenoiserPrior(abc.ABC):
         """d<cotangent, denoise(x_t, t)> / d x_t.
 
         Kept only because the benchmark's tracer wraps it by name; it goes
-        with that tracer's change (ROADMAP item 3)."""
+        with that tracer's change (ROADMAP item 3).
+        """
         return self.denoise_and_vjp(x_t, t)[1](cotangent)
 
 

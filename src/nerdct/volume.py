@@ -49,11 +49,8 @@ def dz_adjoint(grad, out=None):
 
 
 def _dot(a, b):
-    """Sum of a*b over all entries, in one order at any BLAS thread count.
-
-    np.dot splits a long sum across BLAS threads; einsum does not.  An
-    overflowing sum is inf, which callers check; no RuntimeWarning.
-    """
+    # einsum sums in one order at any BLAS thread count, where np.dot splits
+    # the sum across threads.  An overflowing sum is inf, which callers check.
     with np.errstate(over="ignore"):
         return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 

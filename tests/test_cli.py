@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from nerdct import load_volume, save_volume
 from nerdct.cli import main
-from nerdct.config import build_run_config, parse_config_text, parse_gmm_components
+from nerdct.config import (RunConfig, build_run_config, parse_config_text,
+                           parse_gmm_components)
 
 BASE = [
     "--set", "nx=16", "--set", "ny=16", "--set", "nz=12",
@@ -434,6 +437,89 @@ def test_mutated_sidecars_exit_0_1_or_2(tiny_chain, tmp_path_factory, data):
     assert code in (0, 1, 2)
     if code == 1:
         assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
+# ------------------------------- mutated --set values and raw bytes (property)
+
+# RunConfig keys a --set may change; the *_path keys name the chain's files.
+SET_KEYS = sorted(f.name for f in fields(RunConfig) if not f.name.endswith("_path"))
+WORDS = ["", "none", "nan", "inf", "-inf", "1e309", "0", "-1", "word"]
+# NaN (quiet, negative, signalling) and infinity bit patterns of a float64.
+NON_FINITE_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                   0x7FF0000000000000, 0xFFF0000000000000]
+TINY_CONFIG = build_run_config({}, dict(item.split("=", 1) for item in TINY[1::2]))
+
+
+@st.composite
+def set_override(draw):
+    """key=value for one RunConfig key, the value a word or, for a number,
+    one near the key's value in the tiny chain."""
+    key = draw(st.sampled_from(SET_KEYS))
+    value = getattr(TINY_CONFIG, key)
+    nearby = list(WORDS)
+    if isinstance(value, (int, float)):
+        nearby += [str(v) for v in (value - 1, value + 1, 2 * value, -value)]
+    return f"{key}={draw(st.sampled_from(nearby))}"
+
+
+@st.composite
+def damaged_bytes(draw, raw):
+    """`raw`, float64 entries, truncated or extended by 1-8 bytes, or with
+    one entry overwritten by a non-finite or an arbitrary finite double."""
+    kind = draw(st.sampled_from(["truncate", "append", "non-finite", "finite"]))
+    if kind == "truncate":
+        return raw[:-draw(st.integers(1, 8))]
+    if kind == "append":
+        return raw + draw(st.binary(min_size=1, max_size=8))
+    if kind == "non-finite":
+        entry = struct.pack("<Q", draw(st.sampled_from(NON_FINITE_BITS)))
+    else:
+        entry = struct.pack("<d", draw(st.floats(allow_nan=False, allow_infinity=False)))
+    at = 8 * draw(st.integers(0, len(raw) // 8 - 1))
+    return raw[:at] + entry + raw[at + 8:]
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mutated_set_values_and_raw_bytes_exit_0_1_or_2(tiny_chain, tmp_path_factory, data):
+    # One --set value near the chain's own, or one damaged raw array: the
+    # command exits with a code, never a traceback, and on exit 1 leaves the
+    # directory as it found it.
+    extra = []
+    if data.draw(st.booleans()):
+        command = data.draw(st.sampled_from(["reconstruct", "simulate"]))
+        extra = ["--set", data.draw(set_override())]
+    else:
+        command = data.draw(st.sampled_from(sorted(READS)))
+    root = tmp_path_factory.mktemp("mutated")
+    for name in READS[command]:
+        for file_name in (name, name + ".json"):
+            (root / file_name).write_bytes(tiny_chain[file_name])
+    if not extra:
+        target = data.draw(st.sampled_from(READS[command]))
+        (root / target).write_bytes(data.draw(damaged_bytes(tiny_chain[target])))
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    code = main([command] + TINY + paths_args(root) + extra)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
+@pytest.mark.parametrize("command,target", [
+    ("evaluate", "recon.f64"), ("reconstruct", "weights.f64"),
+])
+def test_huge_finite_entry_is_a_numeric_failure(tiny_chain, tmp_path, capsys, command, target):
+    # 1e308 is a valid float64 entry whose square overflows: a numeric
+    # failure (exit 2), not a RuntimeWarning.
+    for name in READS[command]:
+        for file_name in (name, name + ".json"):
+            (tmp_path / file_name).write_bytes(tiny_chain[file_name])
+    values = np.fromfile(tmp_path / target, dtype="<f8")
+    values[0] = 1e308
+    values.tofile(tmp_path / target)
+    capsys.readouterr()
+    assert main([command] + TINY + paths_args(tmp_path)) == 2
+    assert "numeric failure" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- config parsing
