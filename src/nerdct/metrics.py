@@ -14,7 +14,10 @@ SSIM_K2 = 0.03
 
 
 def psnr(candidate, reference, data_range=1.0):
-    """10 log10(data_range^2 / MSE); identical inputs give +inf."""
+    """10 log10(data_range^2 / MSE); identical inputs give +inf.
+
+    FloatingPointError when the MSE overflows a float64; NaN inputs give NaN.
+    """
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if candidate.shape != reference.shape:
@@ -23,9 +26,12 @@ def psnr(candidate, reference, data_range=1.0):
         )
     if not data_range > 0:
         raise ValueError(f"data_range must be > 0, got {data_range}")
-    mse = float(np.mean((candidate - reference) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((candidate - reference) ** 2))
     if mse == 0.0:
         return math.inf
+    if mse == math.inf:
+        raise FloatingPointError("overflow in the PSNR's mean squared error")
     return 10.0 * math.log10(data_range**2 / mse)
 
 

@@ -13,7 +13,10 @@ The adjoint reads the same arrays as the CSC of the transpose, the
 scatter scipy's own `A.T @ x` runs, so the weights are stored once.
 
 A 3D volume (nz, ny, nx) is projected slice by slice with a shared
-geometry; sinograms are stored as (n_views, n_detectors, nz).
+geometry; sinograms are stored as (n_views, n_detectors, nz).  The sparse
+products read and write the volume as (ny*nx, nz) "columns", each voxel's
+slices side by side, which is the layout `forward_columns` and
+`adjoint_columns` take; `forward` and `adjoint` copy between the two.
 """
 
 import importlib.machinery
@@ -199,11 +202,13 @@ class CTOperator:
     angles only.  The adjoint of the subsampled operator equals zero-filling
     the missing views and applying the full-view adjoint.
 
-    Both directions go through one (ny*nx, nz) staging buffer that the
-    operator owns: `forward` copies the volume into it, `adjoint` runs the
-    product into it.  So one operator must not be called from two threads
-    at once.  The products are the sparsetools calls behind scipy's `A @ x`
-    and `A.T @ x`, so their bits are scipy's.
+    `forward_columns` and `adjoint_columns` are the products, in the
+    (ny*nx, nz) column layout; they are the sparsetools calls behind
+    scipy's `A @ x` and `A.T @ x`, so their bits are scipy's.  `forward`
+    and `adjoint` are their volume-layout wrappers through one (ny*nx, nz)
+    staging buffer that the operator owns: `forward` copies the volume
+    into it, `adjoint` runs the product into it.  So one operator must not
+    be called from two threads at once.
     """
 
     def __init__(self, nx, ny, nz, geometry, view_indices=None):
@@ -231,7 +236,7 @@ class CTOperator:
         self.geometry = geometry
         self.view_indices = view_indices
         self._matrix = _ray_matrix(nx, ny, geometry, view_indices)
-        self._staging = np.empty((ny * nx, nz))
+        self._staging = np.empty(self.columns_shape)
 
     @property
     def n_views(self):
@@ -241,24 +246,30 @@ class CTOperator:
     def sinogram_shape(self):
         return (self.n_views, self.geometry.n_detectors, self.nz)
 
+    @property
+    def columns_shape(self):
+        """(ny*nx, nz): the volume with each voxel's slices side by side."""
+        return (self.ny * self.nx, self.nz)
+
     def forward(self, vol):
-        """(nz, ny, nx) volume -> (n_views, n_detectors, nz) sinogram."""
+        """(nz, ny, nx) volume -> (n_views, n_detectors, nz) sinogram.
+
+        The volume, of any real dtype, is copied into the staging buffer
+        as float64 columns, then projected by `forward_columns`.
+        """
         if vol.shape != (self.nz, self.ny, self.nx):
             raise ValueError(
                 f"expected volume {(self.nz, self.ny, self.nx)}, got {vol.shape}"
             )
         np.copyto(self._staging.T, vol.reshape(self.nz, self.ny * self.nx))
-        sino = np.zeros(self.sinogram_shape)
-        a = self._matrix
-        _sparsetools.csr_matvecs(*a.shape, self.nz, a.indptr, a.indices, a.data,
-                                 self._staging.ravel(), sino.ravel())
-        return sino
+        return self.forward_columns(self._staging)
 
     def adjoint(self, sino, out=None):
         """(n_views, n_detectors, nz) sinogram -> (nz, ny, nx) volume.
 
         With `out`, a C-contiguous float64 (nz, ny, nx) array, the result is
-        written there and `out` is returned.
+        written there and `out` is returned.  `adjoint_columns` runs into
+        the staging buffer, which is then copied out.
         """
         if sino.shape != self.sinogram_shape:
             raise ValueError(
@@ -267,19 +278,50 @@ class CTOperator:
         shape = (self.nz, self.ny, self.nx)
         if out is None:
             out = np.empty(shape)
-        elif (out.shape != shape or out.dtype != np.float64
-              or not out.flags.c_contiguous):
-            raise ValueError(
-                f"out must be a C-contiguous float64 {shape} array, got "
-                f"{out.dtype} {out.shape}"
-            )
-        rows = np.ascontiguousarray(sino, dtype=np.float64).ravel()
-        self._staging.fill(0.0)
-        a = self._matrix
-        _sparsetools.csc_matvecs(*a.shape[::-1], self.nz, a.indptr, a.indices,
-                                 a.data, rows, self._staging.ravel())
+        else:
+            _check_buffer("out", out, shape)
+        self.adjoint_columns(np.ascontiguousarray(sino, dtype=np.float64),
+                             self._staging)
         np.copyto(out.reshape(self.nz, -1), self._staging.T)
         return out
+
+    def forward_columns(self, cols):
+        """(ny*nx, nz) columns -> new (n_views, n_detectors, nz) sinogram.
+
+        `cols` must be a C-contiguous float64 (ny*nx, nz) array: column j
+        of row i is voxel i of slice j.  This is scipy's `A @ cols`.
+        """
+        _check_buffer("cols", cols, self.columns_shape)
+        sino = np.zeros(self.sinogram_shape)
+        a = self._matrix
+        _sparsetools.csr_matvecs(*a.shape, self.nz, a.indptr, a.indices, a.data,
+                                 cols.ravel(), sino.ravel())
+        return sino
+
+    def adjoint_columns(self, sino, out):
+        """(n_views, n_detectors, nz) sinogram -> (ny*nx, nz) columns in `out`.
+
+        `sino` and `out` must be C-contiguous float64 arrays of the
+        sinogram's and the columns' shape.  `out` is overwritten and
+        returned.  This is scipy's `A.T @ sino`.
+        """
+        _check_buffer("sino", sino, self.sinogram_shape)
+        _check_buffer("out", out, self.columns_shape)
+        out.fill(0.0)
+        a = self._matrix
+        _sparsetools.csc_matvecs(*a.shape[::-1], self.nz, a.indptr, a.indices,
+                                 a.data, sino.ravel(), out.ravel())
+        return out
+
+
+def _check_buffer(name, array, shape):
+    """ValueError unless `array` is a C-contiguous float64 array of `shape`."""
+    if (array.shape != shape or array.dtype != np.float64
+            or not array.flags.c_contiguous):
+        raise ValueError(
+            f"{name} must be a C-contiguous float64 {shape} array, got "
+            f"{array.dtype} {array.shape}"
+        )
 
 
 def add_gaussian_noise(sino, sigma_y, seed):

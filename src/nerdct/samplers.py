@@ -205,39 +205,53 @@ class Sampler:
         return blocks, losses
 
     @functools.cached_property
-    def _aty2(self):
-        return 2.0 * self.op.adjoint(self.y)
+    def _aty(self):
+        """A^T y in columns, the data term of the halved normal equation's rhs."""
+        return self.op.adjoint_columns(np.ascontiguousarray(self.y, dtype=np.float64),
+                                       np.empty(self.op.columns_shape))
 
     @functools.cached_property
     def _normal_buffers(self):
-        return np.empty((3,) + self.volume_shape)
+        return np.empty((2,) + self.op.columns_shape)
 
     def _normal_solve(self, start, z, w):
         """cg_max_iter CG steps from `start` on ||A x - y||^2
-        + (rho/2) ||Dz x - z + w||^2 through its normal equation
+        + (rho/2) ||Dz x - z + w||^2 through its halved normal equation
 
-            (2 A^T A + rho Dz^T Dz) x = 2 A^T y + rho Dz^T (z - w).
+            (A^T A + (rho/2) Dz^T Dz) x = A^T y + (rho/2) Dz^T (z - w).
 
-        The step count, not a tolerance, ends the solve.  The operator
-        writes into three buffers allocated once per run.
+        The step count, not a tolerance, ends the solve.  CG runs in the
+        projector's (ny*nx, nz) column layout, where z is the fast axis:
+        `start` and the rhs are moved into it once and the result is moved
+        back once.  The operator writes into two column buffers allocated
+        once per run.
         """
-        rho = self.rho
-        normal_buf, dz_buf, smooth_buf = self._normal_buffers
+        op, nz = self.op, self.op.nz
+        half_rho = 0.5 * self.rho
+        normal_buf, dz_buf = self._normal_buffers
+        flat_out, flat_dz = normal_buf.ravel(), dz_buf.ravel()
 
         def apply_op(v):
-            out = self.op.adjoint(self.op.forward(v), out=normal_buf)
-            out *= 2.0
-            smooth = dz_adjoint(dz_forward(v, out=dz_buf), out=smooth_buf)
-            smooth *= rho
-            out += smooth
+            out = op.adjoint_columns(op.forward_columns(v), normal_buf)
+            # d = (rho/2) Dz v: a flat difference whose entries that cross
+            # into the next column, each column's last, are zeroed.
+            flat_v = v.ravel()
+            np.subtract(flat_v[1:], flat_v[:-1], out=flat_dz[:-1])
+            dz_buf[:, -1] = 0.0
+            np.multiply(flat_dz, half_rho, out=flat_dz)
+            # Dz^T d = -d plus d shifted one slice on; d's zeroed last
+            # entries stop the flat shift at every column boundary.
+            np.subtract(flat_out, flat_dz, out=flat_out)
+            np.add(flat_out[1:], flat_dz[:-1], out=flat_out[1:])
             return out
 
-        rhs = self._aty2 + rho * dz_adjoint(z - w)
+        rhs = np.ascontiguousarray((half_rho * dz_adjoint(z - w)).reshape(nz, -1).T)
+        rhs += self._aty
         result = cg_solve(apply_op, rhs, tol=0.0, max_iter=self.config.cg_max_iter,
-                          x0=start)
+                          x0=np.ascontiguousarray(start.reshape(nz, -1).T))
         if result.breakdown:
             raise SamplerError("CG breakdown in normal-equation solve")
-        return result.x
+        return np.ascontiguousarray(result.x.T).reshape(self.volume_shape)
 
     def _split_update(self, x, z, w):
         """ADMM z- and scaled dual step on the split z = Dz x; returns (z, w)."""

@@ -8,7 +8,10 @@ fields are compared by one rule), one function runs
 `samplers.py` imports nothing from
 `priors.py` (so no sampler path depends on which prior it holds), no module
 imports `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`,
-and README's config key table lists exactly the fields of `RunConfig`."""
+the sparse products `csr_matvecs` and `csc_matvecs` run only in
+`CTOperator.forward_columns` and `adjoint_columns` (one kernel path for
+both layouts), and README's config key table lists exactly the fields of
+`RunConfig`."""
 
 import ast
 import os
@@ -108,6 +111,15 @@ def test_one_function_runs_cg_solve():
     callers = set().union(*(calling_functions(p, "cg_solve")
                             for p in sorted(PACKAGE.glob("*.py"))))
     assert len(callers) == 1, sorted(callers)
+
+
+def test_one_function_runs_each_sparse_product():
+    # forward and adjoint are volume-layout wrappers of the column products.
+    for kernel, owner in (("csr_matvecs", "radon.forward_columns"),
+                          ("csc_matvecs", "radon.adjoint_columns")):
+        callers = set().union(*(calling_functions(p, kernel)
+                                for p in sorted(PACKAGE.glob("*.py"))))
+        assert callers == {owner}, (kernel, sorted(callers))
 
 
 def test_only_the_prior_base_defines_denoise_and_input_vjp():

@@ -28,6 +28,20 @@ def test_psnr_identical_is_infinite():
     assert psnr(x, x) == math.inf
 
 
+def test_psnr_overflowing_error_raises_and_nan_propagates():
+    # A squared error past the float64 range is a numeric failure that
+    # names the overflow (an ArithmeticError, so the CLI exits 2), not a
+    # math domain error from log10(0).
+    with pytest.raises(FloatingPointError, match="overflow"):
+        psnr(np.array([1e200]), np.array([0.0]))
+    vol = np.zeros((12, 12, 12))
+    huge = vol.copy()
+    huge[3, 4, 5] = 1e200
+    with pytest.raises(FloatingPointError, match="overflow"):
+        evaluate_volume(huge, vol)
+    assert math.isnan(psnr(np.array([np.nan, 0.0]), np.array([0.0, 0.0])))
+
+
 def test_psnr_translation_invariance():
     rng = Xoshiro256PP(1)
     a = rng.normal_array((6, 6))

@@ -158,6 +158,61 @@ def test_adjoint_into_out_buffer():
             op.adjoint(sino, out=bad)
 
 
+@pytest.mark.parametrize("nz", [1, 3, 16])
+def test_column_products_bytes_equal_volume_products(nz):
+    # forward/adjoint are the column products wrapped by a transposed copy,
+    # so the column products on transposed data give the same bytes.  The
+    # adjoint overwrites a NaN-filled `out` rather than adding into it.
+    geom = ProjectionGeometry(n_angles_full=12, n_detectors=23)
+    op = CTOperator(16, 16, nz, geom, uniform_view_indices(12, 5))
+    rng = Xoshiro256PP(9)
+    vol = rng.normal_array((nz, 16, 16))
+    sino = rng.normal_array(op.sinogram_shape)
+    cols = np.ascontiguousarray(vol.reshape(nz, -1).T)
+    assert op.columns_shape == cols.shape == (256, nz)
+    got = op.forward_columns(cols)
+    assert got.shape == op.sinogram_shape
+    assert got.tobytes() == op.forward(vol).tobytes()
+    out = np.full(op.columns_shape, np.nan)
+    assert op.adjoint_columns(sino, out) is out
+    assert np.ascontiguousarray(out.T).tobytes() == op.adjoint(sino).tobytes()
+
+
+def test_column_adjoint_identity():
+    geom = ProjectionGeometry(n_angles_full=24, n_detectors=31)
+    op = CTOperator(20, 20, 4, geom, uniform_view_indices(24, 6))
+    rng = Xoshiro256PP(2)
+    for _ in range(30):
+        v = rng.normal_array(op.columns_shape)
+        s = rng.normal_array(op.sinogram_shape)
+        av = op.forward_columns(v)
+        lhs = float(np.vdot(av, s))
+        rhs = float(np.vdot(v, op.adjoint_columns(s, np.empty(op.columns_shape))))
+        bound = 1e-10 * math.sqrt(float(np.vdot(av, av))) * math.sqrt(
+            float(np.vdot(s, s)))
+        assert abs(lhs - rhs) <= max(bound, 1e-12)
+
+
+def test_column_products_reject_other_layouts():
+    # The column products never copy: a wrong shape, Fortran order or a
+    # dtype other than float64 is an error, for the input and for `out`.
+    geom = ProjectionGeometry(n_angles_full=12, n_detectors=23)
+    op = CTOperator(16, 16, 3, geom, uniform_view_indices(12, 5))
+    sino = Xoshiro256PP(3).normal_array(op.sinogram_shape)
+    bad_columns = (np.zeros((256, 4)), np.zeros((3, 256)), np.zeros((256, 3), order="F"),
+                   np.zeros((256, 3), dtype=np.float32))
+    for bad in bad_columns:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.forward_columns(bad)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.adjoint_columns(sino, bad)
+    bad_sinos = (np.zeros((5, 23, 4)), np.zeros(op.sinogram_shape, order="F"),
+                 np.zeros(op.sinogram_shape, dtype=np.float32))
+    for bad in bad_sinos:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.adjoint_columns(bad, np.empty(op.columns_shape))
+
+
 def test_centered_disk_projection_width():
     # A filled disk of radius r projects to a profile whose central ray
     # integrates to about the chord length 2r, independent of angle.

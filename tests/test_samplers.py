@@ -378,31 +378,95 @@ def test_dds_zero_admm_iters_is_plain_denoising():
     assert np.array_equal(x0, sampler.prior.denoise(x_t, t))
 
 
-def test_dds_step_matches_out_of_place_oracle():
-    # The normal operator runs into per-step buffers and CG updates in
-    # place; one step must keep the bits of the out-of-place expression
-    # solved by the out-of-place CG recursion.
-    op, _, y = small_problem(noise=0.05)
-    lam_z, rho, admm_iters, max_iter = 0.02, 2.0, 3, 8
-    cfg = config("dds", lam_z=lam_z, rho=rho, dds_admm_iters=admm_iters,
-                 cg_max_iter=max_iter)
-    sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
-    state = sampler.initialize()
-    t = int(SCHED.sampling_steps[1])
+def dds_reference(sampler, state, t, solve):
+    """dds's clean estimate at t, out of place, with `solve(x, z, w)` as the
+    x-update of each ADMM iteration."""
+    cfg = sampler.config
+    x = sampler.prior.denoise(state.x, t)
+    z = w = np.zeros_like(x)
+    for _ in range(cfg.dds_admm_iters):
+        x = solve(x, z, w)
+        dz_x = dz_forward(x)
+        z = soft_threshold(dz_x + w, cfg.lam_z / cfg.rho)
+        w = w + dz_x - z
+    return x
+
+
+def column_solve(op, y, cfg):
+    """The halved normal equation (A^T A + (rho/2) Dz^T Dz) x = A^T y
+    + (rho/2) Dz^T (z - w) in (ny*nx, nz) columns, out of place, with
+    Dz's flat difference and shift, solved by cg_oracle."""
+    nz, half_rho = op.nz, 0.5 * cfg.rho
+
+    def columns(vol):
+        return np.ascontiguousarray(vol.reshape(nz, -1).T)
+
+    def apply_op(v):
+        flat = v.ravel()
+        d = np.concatenate((flat[1:] - flat[:-1], [0.0])).reshape(v.shape)
+        d[:, -1] = 0.0
+        d = half_rho * d
+        out = (columns(op.adjoint(op.forward(v.T.reshape(nz, op.ny, op.nx))))
+               - d).ravel()
+        out = np.concatenate((out[:1], out[1:] + d.ravel()[:-1]))
+        return out.reshape(v.shape)
+
+    def solve(x, z, w):
+        rhs = columns(half_rho * dz_adjoint(z - w)) + columns(op.adjoint(y))
+        cols, _ = cg_oracle(apply_op, rhs, 0.0, cfg.cg_max_iter, columns(x))
+        return np.ascontiguousarray(cols.T).reshape(x.shape)
+
+    return solve
+
+
+def volume_solve(op, y, cfg):
+    """The parent formulation: (2 A^T A + rho Dz^T Dz) x = 2 A^T y
+    + rho Dz^T (z - w) in the volume layout, solved by cg_oracle."""
+    rho = cfg.rho
 
     def apply_op(v):
         return 2.0 * op.adjoint(op.forward(v)) + rho * dz_adjoint(dz_forward(v))
 
-    x = sampler.prior.denoise(state.x, t)
-    z = w = np.zeros_like(x)
-    for _ in range(admm_iters):
+    def solve(x, z, w):
         rhs = 2.0 * op.adjoint(y) + rho * dz_adjoint(z - w)
-        x, _ = cg_oracle(apply_op, rhs, 0.0, max_iter, x)
-        dz_x = dz_forward(x)
-        z = soft_threshold(dz_x + w, lam_z / rho)
-        w = w + dz_x - z
+        return cg_oracle(apply_op, rhs, 0.0, cfg.cg_max_iter, x)[0]
+
+    return solve
+
+
+def test_dds_step_matches_out_of_place_oracle():
+    # The normal operator runs in column buffers and CG updates in place;
+    # one step must keep the bits of the out-of-place halved system in
+    # columns solved by the out-of-place CG recursion.
+    op, _, y = small_problem(noise=0.05)
+    cfg = config("dds", lam_z=0.02, rho=2.0, dds_admm_iters=3, cg_max_iter=8)
+    sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
+    state = sampler.initialize()
+    t = int(SCHED.sampling_steps[1])
+    x = dds_reference(sampler, state, t, column_solve(op, y, cfg))
     x0 = sampler.step(state, t, int(SCHED.sampling_steps[2]))
     assert x0.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("nz", [1, 2, 5])
+def test_dds_step_matches_volume_layout_formulation(nz):
+    # Halving the system and permuting its unknowns into columns leave CG's
+    # iterates unchanged in exact arithmetic, so one step must agree with
+    # the volume-layout system 2 A^T A + rho Dz^T Dz to rounding.  nz = 1
+    # makes Dz zero and every flat shift a column boundary.  This tiny
+    # system is singular, and CG amplifies rounding after a few steps (a
+    # one-ulp change of the rhs moves x by about 1e-11 at 8 steps, nz = 2),
+    # so the step runs 5 CG steps, where that change moves it by < 1e-14.
+    op = CTOperator(NX, NX, nz, GEOM, VIEWS)
+    y = op.forward(shepp_logan_3d(NX, NX, 8)[:nz])
+    y = y + 0.05 * Xoshiro256PP(1234).normal_array(y.shape)
+    cfg = config("dds", lam_z=0.02, rho=2.0, dds_admm_iters=3, cg_max_iter=5)
+    sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
+    state = sampler.initialize()
+    t = int(SCHED.sampling_steps[1])
+    x = dds_reference(sampler, state, t, volume_solve(op, y, cfg))
+    x0 = sampler.step(state, t, int(SCHED.sampling_steps[2]))
+    assert np.linalg.norm(x0 - x) <= 1e-12 * np.linalg.norm(x)
 
 
 # A 2-step dds run on 64x64x16, where each reduction spans 65,536 voxels:
@@ -462,7 +526,9 @@ def nan_forward_step(monkeypatch, method, prior):
     op, _, y = small_problem(noise=0.05)
     sampler = Sampler(config(method, dds_admm_iters=1), op, y, prior, SCHED)
     state = sampler.initialize()
-    monkeypatch.setattr(op, "forward", lambda vol: np.full(op.sinogram_shape, np.nan))
+    # dds's normal solve runs the column product, the rest the volume one.
+    for name in ("forward", "forward_columns"):
+        monkeypatch.setattr(op, name, lambda vol: np.full(op.sinogram_shape, np.nan))
     with pytest.raises(SamplerError, match="CG breakdown"):
         sampler.step(state, 1000, 500)
 
