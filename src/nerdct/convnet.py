@@ -212,7 +212,7 @@ def _holdout_losses(slices, pairs, weights, schedule):
     return net_total / len(pairs), identity_total / len(pairs)
 
 
-def train_denoiser(slices, schedule, epochs, seed, lr=1e-3, holdout_fraction=0.2):
+def train_denoiser(slices, schedule, epochs, seed, lr, holdout_fraction):
     """Train the noise predictor on 2D slices with the denoising objective.
 
     Per sample: draw t uniform over [1, T] and fresh noise, form the noisy

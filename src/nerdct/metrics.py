@@ -16,6 +16,8 @@ SSIM_K2 = 0.03
 def psnr(candidate, reference, data_range=1.0):
     """10 log10(data_range^2 / MSE); identical inputs give +inf.
 
+    A subnormal MSE, whose quotient overflows, is scored through logs.
+
     FloatingPointError when the MSE overflows a float64; NaN inputs give NaN.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
@@ -32,7 +34,10 @@ def psnr(candidate, reference, data_range=1.0):
         return math.inf
     if mse == math.inf:
         raise FloatingPointError("overflow in the PSNR's mean squared error")
-    return 10.0 * math.log10(data_range**2 / mse)
+    ratio = data_range**2 / mse
+    if ratio == math.inf:  # a subnormal MSE
+        return 10.0 * (2.0 * math.log10(data_range) - math.log10(mse))
+    return 10.0 * math.log10(ratio)
 
 
 def _gaussian_1d():

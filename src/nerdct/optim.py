@@ -11,6 +11,11 @@ class NonFiniteGradientError(ValueError):
     """Raised when an optimizer receives a NaN/inf gradient."""
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with bias correction; moments live with the state object.
@@ -18,14 +23,12 @@ class AdamState:
     m <- b1*m + (1-b1)*g,  v <- b2*v + (1-b2)*g^2
     x <- x - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    The first step on any nonzero gradient therefore has magnitude close
-    to lr per coordinate.
+    where b1, b2 and eps are the module constants ADAM_BETA1, ADAM_BETA2
+    and ADAM_EPS.  The first step on any nonzero gradient therefore has
+    magnitude close to lr per coordinate.
     """
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray = field(default=None, repr=False)
     v: np.ndarray = field(default=None, repr=False)
@@ -44,16 +47,16 @@ def adam_step(state, x, grad):
         state.m = np.zeros_like(x)
         state.v = np.zeros_like(x)
     state.t += 1
-    scratch = np.multiply(1.0 - state.beta1, grad)
-    state.m *= state.beta1
+    scratch = np.multiply(1.0 - ADAM_BETA1, grad)
+    state.m *= ADAM_BETA1
     state.m += scratch
-    np.multiply(1.0 - state.beta2, grad, out=scratch)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
     scratch *= grad
-    state.v *= state.beta2
+    state.v *= ADAM_BETA2
     state.v += scratch
-    np.sqrt(np.divide(state.v, 1.0 - state.beta2 ** state.t, out=scratch), out=scratch)
-    scratch += state.eps
-    step = state.m / (1.0 - state.beta1 ** state.t) * state.lr
+    np.sqrt(np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=scratch), out=scratch)
+    scratch += ADAM_EPS
+    step = state.m / (1.0 - ADAM_BETA1 ** state.t) * state.lr
     step /= scratch
     return np.subtract(x, step, out=step)
 

@@ -205,10 +205,8 @@ class CTOperator:
     `forward_columns` and `adjoint_columns` are the products, in the
     (ny*nx, nz) column layout; they are the sparsetools calls behind
     scipy's `A @ x` and `A.T @ x`, so their bits are scipy's.  `forward`
-    and `adjoint` are their volume-layout wrappers through one (ny*nx, nz)
-    staging buffer that the operator owns: `forward` copies the volume
-    into it, `adjoint` runs the product into it.  So one operator must not
-    be called from two threads at once.
+    and `adjoint` are their volume-layout wrappers.  The operator holds no
+    mutable state, so one operator may be shared across threads.
     """
 
     def __init__(self, nx, ny, nz, geometry, view_indices=None):
@@ -236,7 +234,6 @@ class CTOperator:
         self.geometry = geometry
         self.view_indices = view_indices
         self._matrix = _ray_matrix(nx, ny, geometry, view_indices)
-        self._staging = np.empty(self.columns_shape)
 
     @property
     def n_views(self):
@@ -254,36 +251,29 @@ class CTOperator:
     def forward(self, vol):
         """(nz, ny, nx) volume -> (n_views, n_detectors, nz) sinogram.
 
-        The volume, of any real dtype, is copied into the staging buffer
-        as float64 columns, then projected by `forward_columns`.
+        The volume, of any real dtype, is laid out as float64 columns and
+        projected by `forward_columns`.
         """
         if vol.shape != (self.nz, self.ny, self.nx):
             raise ValueError(
                 f"expected volume {(self.nz, self.ny, self.nx)}, got {vol.shape}"
             )
-        np.copyto(self._staging.T, vol.reshape(self.nz, self.ny * self.nx))
-        return self.forward_columns(self._staging)
+        return self.forward_columns(np.ascontiguousarray(
+            vol.reshape(self.nz, -1).T, dtype=np.float64))
 
-    def adjoint(self, sino, out=None):
-        """(n_views, n_detectors, nz) sinogram -> (nz, ny, nx) volume.
+    def adjoint(self, sino):
+        """(n_views, n_detectors, nz) sinogram -> new (nz, ny, nx) volume.
 
-        With `out`, a C-contiguous float64 (nz, ny, nx) array, the result is
-        written there and `out` is returned.  `adjoint_columns` runs into
-        the staging buffer, which is then copied out.
+        `adjoint_columns` runs into a new column array, whose transpose is
+        returned as a C-contiguous copy.
         """
         if sino.shape != self.sinogram_shape:
             raise ValueError(
                 f"expected sinogram {self.sinogram_shape}, got {sino.shape}"
             )
-        shape = (self.nz, self.ny, self.nx)
-        if out is None:
-            out = np.empty(shape)
-        else:
-            _check_buffer("out", out, shape)
-        self.adjoint_columns(np.ascontiguousarray(sino, dtype=np.float64),
-                             self._staging)
-        np.copyto(out.reshape(self.nz, -1), self._staging.T)
-        return out
+        cols = self.adjoint_columns(np.ascontiguousarray(sino, dtype=np.float64),
+                                    np.empty(self.columns_shape))
+        return np.ascontiguousarray(cols.T).reshape(self.nz, self.ny, self.nx)
 
     def forward_columns(self, cols):
         """(ny*nx, nz) columns -> new (n_views, n_detectors, nz) sinogram.

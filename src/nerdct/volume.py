@@ -20,28 +20,25 @@ SLICE_AXES = ("axial", "coronal", "sagittal")  # planes normal to z, y, x
 VOLUME_KEYS = ("nz", "ny", "nx")  # the sidecar fields of a volume's shape
 
 
-def dz_forward(vol, out=None):
+def dz_forward(vol):
     """Forward difference along z with a Neumann (replicated) boundary.
 
     out[k] = vol[k+1] - vol[k] for k < nz-1, and out[nz-1] = 0.  Voxel
-    spacing is 1, so values are plain differences.  With `out`, an array
-    of vol's shape that does not overlap it, the result is written there.
+    spacing is 1, so values are plain differences.
     """
-    if out is None:
-        out = np.empty_like(vol)
+    out = np.empty_like(vol)
     np.subtract(vol[1:], vol[:-1], out=out[:-1])
     out[-1] = 0.0
     return out
 
 
-def dz_adjoint(grad, out=None):
+def dz_adjoint(grad):
     """Exact adjoint of dz_forward (negative divergence along z).
 
-    `out` works as in dz_forward.  0.0 - g gives the bits of zeros minus g,
-    signed zeros included, which negating g would not.
+    0.0 - g gives the bits of zeros minus g, signed zeros included, which
+    negating g would not.
     """
-    if out is None:
-        out = np.empty_like(grad)
+    out = np.empty_like(grad)
     np.subtract(0.0, grad[:-1], out=out[:-1])
     out[-1] = 0.0
     out[1:] += grad[:-1]

@@ -210,7 +210,8 @@ def phantom_slices(nx=64, nz=32):
 def test_training_decreases_loss_and_beats_identity():
     # Pinned desk-scale conditions: axial phantom slices, defaults, seed 0.
     slices = phantom_slices()
-    weights, record = train_denoiser(slices, SCHED, epochs=4, seed=0, lr=2e-3)
+    weights, record = train_denoiser(slices, SCHED, epochs=4, seed=0, lr=2e-3,
+                                     holdout_fraction=0.2)
     losses = record["train_epoch_losses"]
     assert len(losses) == 4
     assert losses[-1] < losses[0]
@@ -221,17 +222,19 @@ def test_training_decreases_loss_and_beats_identity():
 
 def test_training_deterministic():
     slices = phantom_slices(nx=32, nz=8)
-    w1, r1 = train_denoiser(slices, SCHED, epochs=2, seed=4)
-    w2, r2 = train_denoiser(slices, SCHED, epochs=2, seed=4)
+    args = dict(epochs=2, lr=1e-3, holdout_fraction=0.2)
+    w1, r1 = train_denoiser(slices, SCHED, seed=4, **args)
+    w2, r2 = train_denoiser(slices, SCHED, seed=4, **args)
     assert np.array_equal(pack_weights(w1), pack_weights(w2))
     assert r1["train_epoch_losses"] == r2["train_epoch_losses"]
-    w3, _ = train_denoiser(slices, SCHED, epochs=2, seed=5)
+    w3, _ = train_denoiser(slices, SCHED, seed=5, **args)
     assert not np.array_equal(pack_weights(w1), pack_weights(w3))
 
 
 def test_training_zero_lr_keeps_init():
     slices = phantom_slices(nx=32, nz=8)
-    trained, _ = train_denoiser(slices, SCHED, epochs=2, seed=6, lr=0.0)
+    trained, _ = train_denoiser(slices, SCHED, epochs=2, seed=6, lr=0.0,
+                                holdout_fraction=0.2)
     init = init_weights(6)
     assert np.array_equal(pack_weights(trained), pack_weights(init))
 
@@ -239,9 +242,11 @@ def test_training_zero_lr_keeps_init():
 def test_holdout_fraction_bounds():
     slices = phantom_slices(nx=32, nz=8)
     with pytest.raises(ValueError):
-        train_denoiser(slices, SCHED, epochs=1, seed=0, holdout_fraction=1.0)
+        train_denoiser(slices, SCHED, epochs=1, seed=0, lr=1e-3,
+                       holdout_fraction=1.0)
     with pytest.raises(ValueError):
-        train_denoiser([], SCHED, epochs=1, seed=0)
+        train_denoiser([], SCHED, epochs=1, seed=0, lr=1e-3,
+                       holdout_fraction=0.2)
 
 
 def test_weights_io_round_trip(tmp_path):

@@ -5,7 +5,9 @@ fields are compared by one rule), one function runs
 `cg_solve`, one sampler function `adam_step` and one function constructs
 `CTOperator` (`config.build_operator`), no class but `DenoiserPrior` defines
 `denoise` or `input_vjp` (a prior implements only `denoise_and_vjp`),
-`samplers.py` imports nothing from
+every defaulted parameter of a public function or method in `src/` is
+passed by some call in `src/` or `benchmarks/` (a default nothing overrides
+is a constant, not a parameter), `samplers.py` imports nothing from
 `priors.py` (so no sampler path depends on which prior it holds), no module
 imports `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`,
 the sparse products `csr_matvecs` and `csc_matvecs` run only in
@@ -104,6 +106,71 @@ def calling_functions(path, name):
 
     visit(ast.parse(path.read_text()), "<module>")
     return callers
+
+
+# Defaulted parameters that no call in src/ or benchmarks/ passes, and why.
+UNPASSED_DEFAULTS = {
+    # The console entry point reads sys.argv; tests pass argv to drive it.
+    "cli.main.argv",
+    # The analytic phantom tests project ellipsoid sets other than the
+    # default one.
+    "phantom.shepp_logan_3d.ellipsoids",
+}
+
+
+def defaulted_parameters(path):
+    """(label, call name, position, keyword) of each defaulted parameter of a
+    public module-level function or method, or of a public class's
+    `__init__`, whose calls name the class.  The position counts the
+    arguments a call writes, so a method's `self` or `cls` is not counted;
+    keyword-only parameters have position None."""
+
+    def params(fn, label, call_name, bound):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        for arg in positional[len(positional) - len(args.defaults):]:
+            yield (f"{label}.{arg.arg}", call_name,
+                   positional.index(arg) - bound, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{label}.{arg.arg}", call_name, None, arg.arg
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from params(node, f"{path.stem}.{node.name}", node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            label = f"{path.stem}.{node.name}"
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    yield from params(item, label, node.name, 1)
+                elif not item.name.startswith("_"):
+                    yield from params(item, f"{label}.{item.name}", item.name, 1)
+
+
+def passes(call, position, keyword):
+    """Whether `call` passes the parameter; `*args` or `**kwargs` may."""
+    return (any(k.arg in (keyword, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    sources = sorted(PACKAGE.glob("*.py"))
+    calls = {}
+    for path in sources + sorted((ROOT / "benchmarks").glob("*.py")):
+        for node in nodes(path):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defaulted = [param for p in sources for param in defaulted_parameters(p)]
+    assert UNPASSED_DEFAULTS <= {label for label, *_ in defaulted}
+    unpassed = sorted(
+        label for label, name, position, keyword in defaulted
+        if label not in UNPASSED_DEFAULTS
+        and not any(passes(c, position, keyword) for c in calls.get(name, [])))
+    assert not unpassed, f"defaults that no caller overrides: {unpassed}"
 
 
 def test_one_function_runs_cg_solve():

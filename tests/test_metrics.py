@@ -28,6 +28,15 @@ def test_psnr_identical_is_infinite():
     assert psnr(x, x) == math.inf
 
 
+def test_psnr_subnormal_error_is_finite():
+    # 1e-160 squared is a subnormal MSE, whose quotient 1 / MSE overflows;
+    # only identical inputs may score +inf.
+    tiny = psnr(np.array([1e-160]), np.array([0.0]))
+    assert 3000.0 < tiny < math.inf
+    assert tiny > psnr(np.array([1e-150]), np.array([0.0]))
+    assert psnr(np.array([1e-160]), np.array([1e-160])) == math.inf
+
+
 def test_psnr_overflowing_error_raises_and_nan_propagates():
     # A squared error past the float64 range is a numeric failure that
     # names the overflow (an ArithmeticError, so the CLI exits 2), not a

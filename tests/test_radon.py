@@ -1,7 +1,9 @@
 """Projector tests: dense oracle, adjointness, geometry, noise, and IO."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -145,17 +147,34 @@ def test_full_view_build_allocation_peak():
     assert peak < 45_000_000, peak
 
 
-def test_adjoint_into_out_buffer():
-    geom = ProjectionGeometry(n_angles_full=12, n_detectors=23)
-    op = CTOperator(16, 16, 3, geom, uniform_view_indices(12, 5))
-    sino = Xoshiro256PP(8).normal_array(op.sinogram_shape)
-    out = np.full((3, 16, 16), np.nan)
-    assert op.adjoint(sino, out=out) is out
-    assert out.tobytes() == op.adjoint(sino).tobytes()
-    for bad in (np.empty((3, 16, 15)), np.empty((3, 16, 16), dtype=np.float32),
-                np.empty((3, 16, 16), order="F"), np.empty((3, 16, 32))[:, :, ::2]):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            op.adjoint(sino, out=bad)
+def test_one_operator_shared_by_two_threads():
+    # The operator holds no mutable state, so calls from two threads at once
+    # give the bytes of the same calls made one after another.
+    geom = ProjectionGeometry(n_angles_full=180, n_detectors=91)
+    op = CTOperator(64, 64, 16, geom, uniform_view_indices(180, 8))
+    rng = Xoshiro256PP(10)
+    vols = [rng.normal_array((16, 64, 64)) for _ in range(4)]
+    sinos = [rng.normal_array(op.sinogram_shape) for _ in range(4)]
+    expected = [(op.forward(v).tobytes(), op.adjoint(s).tobytes())
+                for v, s in zip(vols, sinos)]
+
+    def mismatches(offset):
+        wrong = 0
+        for i in range(150):
+            k = (i + offset) % 4
+            wrong += op.forward(vols[k]).tobytes() != expected[k][0]
+            wrong += op.adjoint(sinos[k]).tobytes() != expected[k][1]
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(mismatches, offset) for offset in (0, 1)]
+            wrong = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [0, 0]
 
 
 @pytest.mark.parametrize("nz", [1, 3, 16])
