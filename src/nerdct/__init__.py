@@ -2,16 +2,13 @@
 
 from .config import (
     RunConfig,
-    build_geometry,
     build_operator,
     build_prior,
     build_run_config,
     build_schedule,
-    parse_gmm_components,
 )
 from .convnet import (
     ConvDenoiserPrior,
-    conv_forward,
     load_weights,
     save_weights,
     train_denoiser,
@@ -48,7 +45,6 @@ from .samplers import (
 from .schedule import (
     NoiseSchedule,
     tweedie_denoise,
-    uniform_sampling_steps,
 )
 from .volume import (
     SLICE_AXES,

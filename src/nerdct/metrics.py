@@ -70,14 +70,14 @@ def _smooth(planes):
 
 
 def _ssim_planes(candidate, reference, data_range):
-    """Mean SSIM of each plane of two (n, h, w) stacks, as a length-n array."""
+    """Mean SSIM of each plane of two (n, h, w) stacks, as a length-n array.
+
+    `evaluate_volume`, the one caller, has `psnr` check data_range first."""
     if min(candidate.shape[1:]) < SSIM_WINDOW:
         raise ValueError(
             f"slice {candidate.shape[1:]} smaller than the {SSIM_WINDOW}x"
             f"{SSIM_WINDOW} window"
         )
-    if not data_range > 0:
-        raise ValueError(f"data_range must be > 0, got {data_range}")
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2
     mu_x = _smooth(candidate)

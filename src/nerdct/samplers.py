@@ -24,9 +24,9 @@ in that order) comes from the seeded stream, so two methods with the same
 seed consume identical noise realizations.
 """
 
-import functools
 import logging
 import math
+import numbers
 import time
 from dataclasses import astuple, dataclass, field, fields
 
@@ -67,6 +67,9 @@ class SamplerConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type is int and (value is not None or f.default is not None) and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("lam", "lam_z", "rho", "lam_couple"):
@@ -125,6 +128,13 @@ class Sampler:
                 f"schedule has {schedule.n_sampling_steps} sampling steps, "
                 f"config n_steps is {config.n_steps}"
             )
+        prior_schedule = getattr(prior, "schedule", None)
+        if prior_schedule is not None and not np.array_equal(
+                prior_schedule.alpha_bar, schedule.alpha_bar):
+            raise ValueError("prior's schedule has another alpha_bar than the sampler's")
+        volume_shape = (operator.nz, operator.ny, operator.nx)
+        if ground_truth is not None and np.shape(ground_truth) != volume_shape:
+            raise ValueError(f"ground truth {np.shape(ground_truth)} is not {volume_shape}")
         # Chambolle-Pock: tau * sigma * ||lam_z Dz||^2 < 1, where ||Dz||^2 is
         # the path Laplacian's largest eigenvalue.  lam_z * lam_z overflows to
         # inf, where lam_z**2 would raise.
@@ -143,7 +153,7 @@ class Sampler:
         self.schedule = schedule
         self.ground_truth = ground_truth
         self.rng = Xoshiro256PP(config.seed)
-        self.volume_shape = (operator.nz, operator.ny, operator.nx)
+        self.volume_shape = volume_shape
         # Only nerd-a and dds run the ADMM split; sitcom is nerd-a without it.
         self.rho = config.rho if config.method in ("nerd-a", "dds") else 0.0
         self._estimate = {
@@ -203,55 +213,6 @@ class Sampler:
             losses.append(loss)
             blocks = adam_step(adam, blocks, grad)
         return blocks, losses
-
-    @functools.cached_property
-    def _aty(self):
-        """A^T y in columns, the data term of the halved normal equation's rhs."""
-        return self.op.adjoint_columns(np.ascontiguousarray(self.y, dtype=np.float64),
-                                       np.empty(self.op.columns_shape))
-
-    @functools.cached_property
-    def _normal_buffers(self):
-        return np.empty((2,) + self.op.columns_shape)
-
-    def _normal_solve(self, start, z, w):
-        """cg_max_iter CG steps from `start` on ||A x - y||^2
-        + (rho/2) ||Dz x - z + w||^2 through its halved normal equation
-
-            (A^T A + (rho/2) Dz^T Dz) x = A^T y + (rho/2) Dz^T (z - w).
-
-        The step count, not a tolerance, ends the solve.  CG runs in the
-        projector's (ny*nx, nz) column layout, where z is the fast axis:
-        `start` and the rhs are moved into it once and the result is moved
-        back once.  The operator writes into two column buffers allocated
-        once per run.
-        """
-        op, nz = self.op, self.op.nz
-        half_rho = 0.5 * self.rho
-        normal_buf, dz_buf = self._normal_buffers
-        flat_out, flat_dz = normal_buf.ravel(), dz_buf.ravel()
-
-        def apply_op(v):
-            out = op.adjoint_columns(op.forward_columns(v), normal_buf)
-            # d = (rho/2) Dz v: a flat difference whose entries that cross
-            # into the next column, each column's last, are zeroed.
-            flat_v = v.ravel()
-            np.subtract(flat_v[1:], flat_v[:-1], out=flat_dz[:-1])
-            dz_buf[:, -1] = 0.0
-            np.multiply(flat_dz, half_rho, out=flat_dz)
-            # Dz^T d = -d plus d shifted one slice on; d's zeroed last
-            # entries stop the flat shift at every column boundary.
-            np.subtract(flat_out, flat_dz, out=flat_out)
-            np.add(flat_out[1:], flat_dz[:-1], out=flat_out[1:])
-            return out
-
-        rhs = np.ascontiguousarray((half_rho * dz_adjoint(z - w)).reshape(nz, -1).T)
-        rhs += self._aty
-        result = cg_solve(apply_op, rhs, tol=0.0, max_iter=self.config.cg_max_iter,
-                          x0=np.ascontiguousarray(start.reshape(nz, -1).T))
-        if result.breakdown:
-            raise SamplerError("CG breakdown in normal-equation solve")
-        return np.ascontiguousarray(result.x.T).reshape(self.volume_shape)
 
     def _split_update(self, x, z, w):
         """ADMM z- and scaled dual step on the split z = Dz x; returns (z, w)."""
@@ -330,15 +291,49 @@ class Sampler:
     def _dds_estimate(self, state, t):
         """dds: denoise, then ADMM on ||A x - y||^2 + lam_z ||Dz x||_1.
 
-        Each ADMM iteration's x-update is a fixed-budget normal solve
-        started from the previous x.
+        Each ADMM iteration's x-update is cg_max_iter CG steps (no
+        tolerance), started from the previous x, on the halved normal
+        equation of ||A x - y||^2 + (rho/2) ||Dz x - z + w||^2,
+
+            (A^T A + (rho/2) Dz^T Dz) x = A^T y + (rho/2) Dz^T (z - w).
+
+        CG runs in the projector's (ny*nx, nz) column layout, where z is the
+        fast axis; each solve moves its start and rhs in and its result out
+        once.  A^T y and the operator's two column buffers are made once
+        per step.
         """
-        cfg = self.config
+        cfg, op, nz = self.config, self.op, self.op.nz
+        half_rho = 0.5 * self.rho
+        aty = op.adjoint_columns(np.ascontiguousarray(self.y, dtype=np.float64),
+                                 np.empty(op.columns_shape))
+        normal_buf, dz_buf = np.empty((2,) + op.columns_shape)
+        flat_out, flat_dz = normal_buf.ravel(), dz_buf.ravel()
+
+        def apply_op(v):
+            out = op.adjoint_columns(op.forward_columns(v), normal_buf)
+            # d = (rho/2) Dz v: a flat difference whose entries that cross
+            # into the next column, each column's last, are zeroed.
+            flat_v = v.ravel()
+            np.subtract(flat_v[1:], flat_v[:-1], out=flat_dz[:-1])
+            dz_buf[:, -1] = 0.0
+            np.multiply(flat_dz, half_rho, out=flat_dz)
+            # Dz^T d = -d plus d shifted one slice on; d's zeroed last
+            # entries stop the flat shift at every column boundary.
+            np.subtract(flat_out, flat_dz, out=flat_out)
+            np.add(flat_out[1:], flat_dz[:-1], out=flat_out[1:])
+            return out
+
         x = self.prior.denoise(state.x, t)
         z = np.zeros_like(x)
         w = np.zeros_like(x)
         for _ in range(cfg.dds_admm_iters):
-            x = self._normal_solve(x, z, w)
+            rhs = np.ascontiguousarray((half_rho * dz_adjoint(z - w)).reshape(nz, -1).T)
+            rhs += aty
+            result = cg_solve(apply_op, rhs, tol=0.0, max_iter=cfg.cg_max_iter,
+                              x0=np.ascontiguousarray(x.reshape(nz, -1).T))
+            if result.breakdown:
+                raise SamplerError("CG breakdown in normal-equation solve")
+            x = np.ascontiguousarray(result.x.T).reshape(self.volume_shape)
             z, w = self._split_update(x, z, w)
         return x
 

@@ -71,15 +71,8 @@ def uniform_sampling_steps(num_train_steps, n_sampling_steps):
             f"need 1 <= n_sampling_steps <= {num_train_steps}, "
             f"got {n_sampling_steps}"
         )
-    steps = np.unique(
-        np.round(np.linspace(num_train_steps, 1, n_sampling_steps)).astype(np.int64)
-    )[::-1]
-    if len(steps) != n_sampling_steps:
-        raise ValueError(
-            f"{n_sampling_steps} sampling steps do not fit strictly decreasing "
-            f"into [1, {num_train_steps}]"
-        )
-    return steps
+    # The grid's spacing is at least 1, so no two indices round to one.
+    return np.round(np.linspace(num_train_steps, 1, n_sampling_steps)).astype(np.int64)
 
 
 def tweedie_denoise(x_t, t, eps_pred, schedule):

@@ -22,7 +22,6 @@ from nerdct import (
     SamplerConfig,
     Xoshiro256PP,
     add_gaussian_noise,
-    conv_forward,
     default_geometry,
     dz_forward,
     evaluate_volume,
@@ -38,6 +37,7 @@ from nerdct.cli import main
 from nerdct.convnet import (
     _backward,
     _forward_cache,
+    conv_forward,
     init_weights,
     pack_weights,
     unpack_weights,

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerdct import load_volume, save_volume
+from nerdct import IdentityPrior, load_volume, save_volume
 from nerdct.cli import main
-from nerdct.config import (RunConfig, build_run_config, parse_config_text,
-                           parse_gmm_components)
+from nerdct.config import (RunConfig, build_prior, build_run_config, build_schedule,
+                           parse_config_text, parse_gmm_components)
 
 BASE = [
     "--set", "nx=16", "--set", "ny=16", "--set", "nz=12",
@@ -136,6 +136,18 @@ def test_sampler_keys_validated_at_load(tmp_path):
         args = BASE + paths_args(tmp_path) + ["--set", override]
         assert main(["generate-phantom"] + args) == 1, override
         assert not (tmp_path / "phantom.f64").exists(), override
+
+
+def test_phantom_of_another_shape_is_not_ground_truth(tmp_path):
+    # reconstruct scores its trace against the phantom only if the shapes
+    # match; otherwise every step's psnr is nan.
+    args = BASE + paths_args(tmp_path) + ["--set", "prior=identity"]
+    assert main(["generate-phantom"] + args) == 0
+    assert main(["simulate"] + args) == 0
+    assert main(["generate-phantom"] + args + ["--set", "nz=8"]) == 0
+    assert main(["reconstruct", "--method", "dds"] + args) == 0
+    rows = (tmp_path / "trace.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[4] for row in rows] == ["nan"] * 3
 
 
 def test_unknown_command_usage_error():
@@ -539,6 +551,31 @@ def test_build_run_config_aliases_and_types():
     for text in ("auto", "none", ""):
         assert build_run_config({}, {"n_detectors": text}).n_detectors is None
     assert build_run_config({}, {"n_detectors": "23"}).n_detectors == 23
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("nz", "0", "nz must be >= 1"),
+    ("sigma_y", "-0.1", "sigma_y must be >= 0"),
+    ("prior", "magic", "prior must be gmm, conv or identity"),
+    ("gmm_components", ",", "at least one w:mu:s triple"),
+    ("gmm_components", "0.5:zero:0.1", "bad gmm component"),
+])
+def test_run_config_rules(key, text, message):
+    with pytest.raises(ValueError, match=message):
+        build_run_config({}, {key: text})
+
+
+@pytest.mark.parametrize("name, bad", [("nx", 16.0), ("epochs", True), ("n_detectors", 23.5)])
+def test_run_config_integer_fields_take_only_integers(name, bad):
+    cfg = RunConfig(**{name: bad})
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cfg.validate()
+    assert RunConfig(n_detectors=None).validate().n_detectors is None
+
+
+def test_identity_prior_built():
+    cfg = build_run_config({}, {"prior": "identity"})
+    assert isinstance(build_prior(cfg, build_schedule(cfg)), IdentityPrior)
 
 
 def test_parse_gmm_components():

@@ -6,7 +6,6 @@ import pytest
 from nerdct import (
     ConvDenoiserPrior,
     NoiseSchedule,
-    conv_forward,
     load_weights,
     save_weights,
     train_denoiser,
@@ -17,6 +16,7 @@ from nerdct.convnet import (
     _backward,
     _forward_cache,
     conv2d,
+    conv_forward,
     conv2d_input_grad,
     denoising_loss,
     init_weights,
@@ -336,3 +336,14 @@ def test_prior_denoise_and_vjp_bit_identical_per_slice():
     held = closure_arrays(vjp)
     assert not any(arr is vol or np.shares_memory(arr, vol) for arr in held)
     assert all(arr.dtype == bool for arr in held if arr.shape[-2:] == vol.shape[-2:])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: unpack_weights(np.zeros(len(pack_weights(init_weights(0))) + 1)),
+     "weight vector length"),
+    (lambda: train_denoiser(np.zeros((5, 8, 8)), SCHED, epochs=-1, seed=0,
+                            lr=1e-3, holdout_fraction=0.2), "epochs"),
+], ids=["weights-length", "negative-epochs"])
+def test_convnet_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

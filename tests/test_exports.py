@@ -1,5 +1,8 @@
-"""Package-wide lints: every public export has a caller in `src/` or
-`benchmarks/` (a caller in `tests/` does not count), only `volume.py` reads
+"""Package-wide lints: every public export has a caller in another module of
+`src/` or in `benchmarks/` (a caller in `tests/` or in the export's own
+module does not count; value types a public call returns or takes are
+allowlisted), no `assert` statement is in `src/` (invariants raise typed
+errors, which still fire under `python -O`), only `volume.py` reads
 or writes raw arrays and JSON or turns a record into JSON text (so recorded
 fields are compared by one rule), one function runs
 `cg_solve`, one sampler function `adam_step` and one function constructs
@@ -35,9 +38,10 @@ def nodes(path):
     return ast.walk(ast.parse(path.read_text()))
 
 
-def exported_names():
+def exports():
+    """{exported name: the package module that defines it}."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name
+    return {alias.asname or alias.name: node.module
             for node in tree.body if isinstance(node, ast.ImportFrom)
             for alias in node.names}
 
@@ -60,13 +64,34 @@ def used_names(path):
     return used
 
 
+# Exports that no other module or benchmark uses, and why.
+UNCALLED_EXPORTS = {
+    # Returned or taken by a public call.
+    "RunConfig", "Report", "ViewStats", "TraceRecord", "CGResult", "Ellipsoid",
+    "SHEPP_LOGAN_ELLIPSOIDS",
+}
+
+
 def test_every_export_is_used_outside_its_own_tests():
-    """Callers are the files of `src/` and `benchmarks/`, not of `tests/`."""
-    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    callers += sorted((ROOT / "benchmarks").glob("*.py"))
-    used = set().union(*(used_names(p) for p in callers))
-    unused = sorted(exported_names() - used)
-    assert not unused, f"exported but used only by their own tests: {unused}"
+    """Callers are the files of `src/` other than the export's own module,
+    and of `benchmarks/`; not of `tests/`."""
+    sources = {p.stem: used_names(p) for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    benchmarks = set().union(*(used_names(p)
+                               for p in sorted((ROOT / "benchmarks").glob("*.py"))))
+    exported = exports()
+    assert UNCALLED_EXPORTS <= exported.keys()
+    unused = sorted(
+        name for name, module in exported.items()
+        if name not in UNCALLED_EXPORTS and name not in benchmarks
+        and not any(name in used for stem, used in sources.items() if stem != module))
+    assert not unused, f"exported but used only by their own module and tests: {unused}"
+
+
+def test_no_assert_statement_in_src():
+    offenders = [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+                 for node in nodes(p) if isinstance(node, ast.Assert)]
+    assert not offenders, offenders
 
 
 def attribute_calls(path):

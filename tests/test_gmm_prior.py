@@ -143,6 +143,8 @@ def test_validation():
         GmmScalarPrior(sched, [1.0, 0.0], [0.0, 1.0], [0.1, 0.1])  # zero weight
     with pytest.raises(ValueError):
         GmmScalarPrior(sched, [0.5, 0.5], [0.0], [0.1, 0.1])  # length mismatch
+    with pytest.raises(ValueError, match="at least one component"):
+        GmmScalarPrior(sched, [], [], [])
     for weights, means, stds in [([np.nan], [0.0], [0.1]), ([1.0], [np.nan], [0.1]),
                                  ([1.0], [0.0], [np.nan]), ([1.0], [0.0], [np.inf])]:
         with pytest.raises(ValueError):

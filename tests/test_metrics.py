@@ -141,6 +141,26 @@ def test_evaluate_volume_shape_mismatch():
         evaluate_volume(np.zeros((12, 12, 12)), np.zeros((12, 12, 13)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: psnr(np.zeros(3), np.zeros(4)), "shape mismatch"),
+    (lambda: psnr(np.zeros(3), np.ones(3), data_range=0.0), "data_range"),
+    (lambda: evaluate_volume(np.zeros((12,) * 3), np.ones((12,) * 3), data_range=-1.0),
+     "data_range"),
+], ids=["psnr-shape", "psnr-range", "evaluate-range"])
+def test_metrics_reject_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_nan_slice_serializes_as_nan():
+    ref = np.zeros((12, 12, 12))
+    cand = ref + 0.1
+    cand[0, 0, 0] = np.nan
+    payload = evaluate_volume(cand, ref).to_dict()
+    assert payload["views"]["axial"]["psnr_mean"] == "nan"
+    assert json.loads(json.dumps(payload))["views"]["axial"]["psnr_mean"] == "nan"
+
+
 @pytest.mark.parametrize("shape", [(12, 13, 15), (16, 64, 64)])
 def test_evaluate_volume_matches_per_slice_reference(shape):
     rng = Xoshiro256PP(7)

@@ -117,6 +117,11 @@ def test_adam_state_isolated_between_instances():
 
 # ------------------------------------------------- proximal operators
 
+def test_adam_step_rejects_gradient_of_another_shape():
+    with pytest.raises(ValueError, match="gradient shape"):
+        adam_step(AdamState(lr=0.1), np.zeros(3), np.zeros(4))
+
+
 def test_soft_threshold_closed_form():
     v = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     out = soft_threshold(v, 1.0)

@@ -315,6 +315,15 @@ def test_operator_validation():
     for views in ([0.5, 2.7], [True, False]):  # not integers: no silent cast
         with pytest.raises(ValueError, match="integers"):
             CTOperator(16, 16, 2, geom, views)
+    with pytest.raises(ValueError, match="empty volume"):
+        CTOperator(16, 16, 0, geom)
+    with pytest.raises(ValueError, match="non-empty 1D"):
+        CTOperator(16, 16, 2, geom, [])
+    op = CTOperator(16, 16, 2, geom, [0, 5])
+    with pytest.raises(ValueError, match="expected volume"):
+        op.forward(np.zeros((2, 16, 15)))
+    with pytest.raises(ValueError, match="expected sinogram"):
+        op.adjoint(np.zeros((3, 4, 5)))
 
 
 def test_default_geometry_detector_count():

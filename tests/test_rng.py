@@ -263,3 +263,12 @@ def test_negative_counts_raise(draw):
     with pytest.raises(ValueError, match=">= 0"):
         draw(rng)
     assert rng._s == state
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Xoshiro256PP("1"), TypeError, "seed must be an integer"),
+    (lambda: Xoshiro256PP(0).integers(5, 1, 3), ValueError, "empty range"),
+], ids=["str-seed", "empty-range"])
+def test_rng_rejects_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

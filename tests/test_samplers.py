@@ -161,6 +161,10 @@ def test_config_validation():
         SamplerConfig(n_steps=0).validate()
     with pytest.raises(ValueError, match="dds needs rho > 0"):
         SamplerConfig(method="dds", rho=0.0).validate()
+    with pytest.raises(ValueError, match="dds_admm_iters must be >= 0"):
+        SamplerConfig(dds_admm_iters=-1).validate()
+    with pytest.raises(ValueError, match="cg_max_iter must be >= 1"):
+        SamplerConfig(cg_max_iter=0).validate()
     SamplerConfig(method="nerd-a", rho=0.0).validate()
     for bad in (2**64, -1):
         with pytest.raises(ValueError, match="seed"):
@@ -171,6 +175,39 @@ def test_config_validation():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=name):
                 SamplerConfig(**{name: bad}).validate()
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("n_steps", True), ("seed", True), ("inner_steps", 2.5),
+    ("dds_admm_iters", 1.5), ("cg_max_iter", 2.5), ("n_steps", np.float64(3.0)),
+])
+def test_integer_fields_take_only_integers(name, bad):
+    # A bool would run as 1 (one step, seed 1); a float count fails mid-run.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SamplerConfig(**{name: bad}).validate()
+    SamplerConfig(**{name: np.int64(3)}).validate()
+
+
+def test_ground_truth_shape_validated():
+    # Refused when the sampler is built, not by psnr after the first step.
+    op, phantom, y = small_problem()
+    with pytest.raises(ValueError, match="ground truth"):
+        Sampler(config("dds"), op, y, gmm_prior(), SCHED, phantom[1:])
+
+
+@pytest.mark.parametrize("sched", [
+    NoiseSchedule.linear_beta(beta_end=0.04, n_sampling_steps=4),
+    NoiseSchedule.linear_beta(num_train_steps=500, n_sampling_steps=4),
+], ids=["beta_end", "num_train_steps"])
+def test_prior_schedule_alpha_bar_must_match(sched):
+    # The prior would denoise with one alpha_bar and _resample re-noise with
+    # another.
+    op, _, y = small_problem()
+    with pytest.raises(ValueError, match="alpha_bar"):
+        Sampler(config("dds"), op, y, gmm_prior(), sched)
+    # The sampling steps may differ: the prior reads only alpha_bar.
+    coarse = NoiseSchedule.linear_beta(n_sampling_steps=2)
+    Sampler(config("dds"), op, y, gmm_prior(coarse), SCHED)
 
 
 def test_save_trace_format(tmp_path):

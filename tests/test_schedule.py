@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nerdct import NoiseSchedule, tweedie_denoise, uniform_sampling_steps
+from nerdct import NoiseSchedule, tweedie_denoise
+from nerdct.schedule import uniform_sampling_steps
 from nerdct.rng import Xoshiro256PP
 
 
@@ -35,6 +36,16 @@ def test_sampling_steps_properties():
         assert steps.min() >= 1 and steps.max() <= 1000
 
 
+def test_sampling_steps_never_collide():
+    # For n <= T the rounded grid's spacing (T - 1)/(n - 1) is at least 1,
+    # so no two indices round to one: every n in [1, T] fits.
+    for num_train_steps in range(1, 121):
+        for n in range(1, num_train_steps + 1):
+            steps = uniform_sampling_steps(num_train_steps, n)
+            assert len(steps) == n and steps[0] == num_train_steps
+            assert np.all(np.diff(steps) < 0) and steps[-1] >= 1
+
+
 def test_sampling_steps_too_many_rejected():
     with pytest.raises(ValueError):
         uniform_sampling_steps(10, 11)
@@ -50,6 +61,11 @@ def test_schedule_validation():
         NoiseSchedule(np.array([1.0, 0.5, 0.3]), np.array([1, 2]))  # increasing steps
     with pytest.raises(ValueError):
         NoiseSchedule(np.array([1.0, 0.5, 0.3]), np.array([5, 1]))  # out of range
+    for alpha_bar in (np.ones((2, 2)), np.array([1.0])):
+        with pytest.raises(ValueError, match="alpha_bar must be a 1D array"):
+            NoiseSchedule(alpha_bar, np.array([1]))
+    with pytest.raises(ValueError, match="sampling_steps must be a non-empty"):
+        NoiseSchedule(np.array([1.0, 0.5]), np.array([], dtype=np.int64))
 
 
 def test_tweedie_formula_direct():
