@@ -115,10 +115,10 @@ def parse_config_text(text):
     return values
 
 
-def build_run_config(file_values=None, overrides=None):
+def build_run_config(file_values, overrides):
     """Typed RunConfig from file values plus --set overrides (later wins)."""
     merged = {}
-    for source in (file_values or {}, overrides or {}):
+    for source in (file_values, overrides):
         for key, value in source.items():
             merged[_ALIASES.get(key, key)] = value
     cfg = RunConfig()

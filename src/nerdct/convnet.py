@@ -274,12 +274,12 @@ def _weights_record(schedule):
                          "alpha_bar_last": float(schedule.alpha_bar[-1])}}
 
 
-def save_weights(path, weights, schedule, record=None):
+def save_weights(path, weights, schedule, record):
     """Save the packed weight vector with save_raw."""
     save_raw(path, pack_weights(weights), ("n_parameters",), {
         **_weights_record(schedule),
         "layout": "per layer: kernel C-order then bias",
-        "training": record or {},
+        "training": record,
     })
 
 

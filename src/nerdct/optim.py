@@ -75,6 +75,9 @@ def project_linf_ball(u):
 
 @dataclass
 class CGResult:
+    """How cg_solve ended: `converged` means the residual reached exactly
+    zero within the budget, `breakdown` that a non-positive or NaN
+    curvature stopped the solve."""
     x: np.ndarray
     converged: bool
     iterations: int
@@ -82,35 +85,30 @@ class CGResult:
     breakdown: bool = False
 
 
-def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
-    """Matrix-free CG for SPD operators.
+def cg_solve(apply_op, b, x0, iterations):
+    """`iterations` steps of matrix-free CG for an SPD operator, from `x0`.
 
-    Stops when ||r|| <= tol * ||b||.  Non-convergence is reported through
-    the result (converged=False), never silently; a non-positive or NaN
-    curvature sets breakdown=True and returns the last iterate.
+    No tolerance: only a residual of exactly zero, whose next curvature
+    would be zero, ends the budget early (converged=True); a non-positive
+    or NaN curvature sets breakdown=True and returns the last iterate.
 
     x, r and d are updated in place through one scratch array, and the
     array `apply_op` returns is read before the next call, so it may be a
     buffer that `apply_op` reuses.  `b` and `x0` are never written.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if max_iter is None:
-        max_iter = 10 * b.size
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
     r = b - apply_op(x)
     d = r.copy()
-    scratch = np.empty_like(b)
+    scratch = np.empty_like(x)
     rs = _dot(r, r)
-    b_norm = np.sqrt(_dot(b, b))
     norms = [np.sqrt(rs)]
-    iterations = 0
-    for _ in range(max_iter):
-        if norms[-1] <= tol * b_norm:
-            return CGResult(x, True, iterations, norms)
+    for step in range(iterations):
+        if rs == 0.0:
+            return CGResult(x, True, step, norms)
         op_d = apply_op(d)
         curvature = _dot(d, op_d)
         if not curvature > 0.0:
-            return CGResult(x, False, iterations, norms, breakdown=True)
+            return CGResult(x, False, step, norms, breakdown=True)
         alpha = rs / curvature
         x += np.multiply(alpha, d, out=scratch)
         r -= np.multiply(alpha, op_d, out=scratch)
@@ -118,7 +116,5 @@ def cg_solve(apply_op, b, tol=1e-6, max_iter=None, x0=None):
         d *= rs_new / rs
         d += r
         rs = rs_new
-        iterations += 1
         norms.append(np.sqrt(rs))
-    converged = norms[-1] <= tol * b_norm
-    return CGResult(x, converged, iterations, norms)
+    return CGResult(x, rs == 0.0, iterations, norms)

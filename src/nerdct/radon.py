@@ -59,7 +59,7 @@ class ProjectionGeometry:
         return np.arange(self.n_angles_full) * (np.pi / self.n_angles_full)
 
 
-def default_geometry(nx, n_angles_full=180, detector_spacing=1.0):
+def default_geometry(nx, n_angles_full, detector_spacing=1.0):
     """Detector row wide enough to cover the slice diagonal."""
     n_detectors = math.ceil(math.sqrt(2.0) * nx)
     return ProjectionGeometry(n_angles_full, n_detectors, detector_spacing)
@@ -196,11 +196,10 @@ def _ray_matrix(nx, ny, geometry, angle_indices):
 
 
 class CTOperator:
-    """Forward/adjoint projector for a volume, optionally view-subsampled.
+    """Forward/adjoint projector A = P T of a volume at the views `view_indices`.
 
-    With `view_indices` the operator is A = P T: project at the selected
-    angles only.  The adjoint of the subsampled operator equals zero-filling
-    the missing views and applying the full-view adjoint.
+    The adjoint of the subsampled operator equals zero-filling the missing
+    views and applying the full-view adjoint.
 
     `forward_columns` and `adjoint_columns` are the products, in the
     (ny*nx, nz) column layout; they are the sparsetools calls behind
@@ -209,13 +208,11 @@ class CTOperator:
     mutable state, so one operator may be shared across threads.
     """
 
-    def __init__(self, nx, ny, nz, geometry, view_indices=None):
+    def __init__(self, nx, ny, nz, geometry, view_indices):
         if nx != ny:
             raise ValueError(f"axial slices must be square, got nx={nx}, ny={ny}")
         if min(nx, ny, nz) < 1:
             raise ValueError(f"empty volume ({nz}, {ny}, {nx})")
-        if view_indices is None:
-            view_indices = np.arange(geometry.n_angles_full)
         view_indices = np.asarray(view_indices)
         if view_indices.ndim != 1 or len(view_indices) == 0:
             raise ValueError("view_indices must be a non-empty 1D index array")
@@ -338,14 +335,14 @@ def _operator_record(operator):
             **dict(zip(SINOGRAM_KEYS, map(int, operator.sinogram_shape)))}
 
 
-def save_sinogram(path, sino, operator, sigma_y=None, seed=None, provenance=None):
+def save_sinogram(path, sino, operator, sigma_y, seed, provenance):
     """Save a (view, detector, slice) sinogram of `operator` with save_raw."""
     save_raw(path, sino, SINOGRAM_KEYS, {
         **_operator_record(operator),
         "layout": "C-order (view, detector, slice)",
         "sigma_y": sigma_y,
         "seed": seed,
-        "provenance": provenance or {},
+        "provenance": provenance,
     })
 
 

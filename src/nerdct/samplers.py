@@ -291,9 +291,9 @@ class Sampler:
     def _dds_estimate(self, state, t):
         """dds: denoise, then ADMM on ||A x - y||^2 + lam_z ||Dz x||_1.
 
-        Each ADMM iteration's x-update is cg_max_iter CG steps (no
-        tolerance), started from the previous x, on the halved normal
-        equation of ||A x - y||^2 + (rho/2) ||Dz x - z + w||^2,
+        Each ADMM iteration's x-update is cg_solve's fixed budget of
+        cg_max_iter CG steps, started from the previous x, on the halved
+        normal equation of ||A x - y||^2 + (rho/2) ||Dz x - z + w||^2,
 
             (A^T A + (rho/2) Dz^T Dz) x = A^T y + (rho/2) Dz^T (z - w).
 
@@ -329,8 +329,8 @@ class Sampler:
         for _ in range(cfg.dds_admm_iters):
             rhs = np.ascontiguousarray((half_rho * dz_adjoint(z - w)).reshape(nz, -1).T)
             rhs += aty
-            result = cg_solve(apply_op, rhs, tol=0.0, max_iter=cfg.cg_max_iter,
-                              x0=np.ascontiguousarray(x.reshape(nz, -1).T))
+            result = cg_solve(apply_op, rhs, np.ascontiguousarray(x.reshape(nz, -1).T),
+                              cfg.cg_max_iter)
             if result.breakdown:
                 raise SamplerError("CG breakdown in normal-equation solve")
             x = np.ascontiguousarray(result.x.T).reshape(self.volume_shape)
@@ -338,10 +338,15 @@ class Sampler:
         return x
 
     def step(self, state, t, t_next):
-        """Clean estimate at t by the method's estimator, then resample to t_next."""
-        state.x0 = self._estimate(state, t)
-        state.x = self._resample(state.x0, t_next)
-        return state.x0
+        """Clean estimate at t, SamplerError unless finite, then resample to t_next."""
+        x0 = self._estimate(state, t)
+        bad = np.count_nonzero(~np.isfinite(x0))
+        if bad:
+            raise SamplerError(
+                f"{self.config.method} estimate at t={t}: {bad} non-finite entries")
+        state.x0 = x0
+        state.x = self._resample(x0, t_next)
+        return x0
 
     # --------------------------------------------------------------- run
 

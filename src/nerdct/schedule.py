@@ -49,8 +49,8 @@ class NoiseSchedule:
         return len(self.sampling_steps)
 
     @classmethod
-    def linear_beta(cls, num_train_steps=1000, beta_start=1e-4, beta_end=0.02,
-                    n_sampling_steps=30):
+    def linear_beta(cls, num_train_steps=1000, beta_start=1e-4, beta_end=0.02, *,
+                    n_sampling_steps):
         """Linear beta ramp; alpha_bar[t] = prod_{s<=t} (1 - beta_s)."""
         if num_train_steps < 1:
             raise ValueError(f"num_train_steps must be >= 1, got {num_train_steps}")

@@ -89,7 +89,7 @@ def save_raw(path, array, shape_keys, record):
                {**record, **dict(zip(shape_keys, array.shape)), "dtype": "<f8"})
 
 
-def load_raw(path, shape_keys, expected=None):
+def load_raw(path, shape_keys, expected):
     """(array, sidecar) of a save_raw file, shaped by the sidecar's `shape_keys`.
 
     ValueError unless each shape key is a non-negative integer, the sidecar's
@@ -133,11 +133,11 @@ def _check_finite(path, array):
         raise ValueError(f"{path}: {bad} non-finite entries")
 
 
-def save_volume(path, vol, provenance=None):
+def save_volume(path, vol, provenance):
     """Save a (nz, ny, nx) volume with save_raw."""
     save_raw(path, vol, VOLUME_KEYS, {
         "layout": "C-order (nz, ny, nx), z slowest",
-        "provenance": provenance or {},
+        "provenance": provenance,
     })
 
 

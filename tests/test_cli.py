@@ -220,7 +220,7 @@ def test_bad_volume_sidecar_dims_exit_1(tmp_path, capsys, edits):
     # product and only a check of the values themselves catches it.  None
     # drops the key, which used to print "error: 'nz'".
     args = BASE + paths_args(tmp_path)
-    save_volume(str(tmp_path / "phantom.f64"), np.zeros((1, 16, 16)))
+    save_volume(str(tmp_path / "phantom.f64"), np.zeros((1, 16, 16)), {})
     sidecar_path = tmp_path / "phantom.f64.json"
     sidecar = {key: value for key, value in
                {**json.loads(sidecar_path.read_text()), **edits}.items()
@@ -367,7 +367,7 @@ def test_evaluate_identical_volume_inf_serialization(tmp_path):
     phantom, _ = load_volume(str(tmp_path / "phantom.f64"))
     from nerdct import save_volume
 
-    save_volume(str(tmp_path / "recon.f64"), phantom)
+    save_volume(str(tmp_path / "recon.f64"), phantom, {})
     assert main(["evaluate"] + args) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["views"]["axial"]["psnr_mean"] == "inf"
@@ -532,6 +532,21 @@ def test_huge_finite_entry_is_a_numeric_failure(tiny_chain, tmp_path, capsys, co
     capsys.readouterr()
     assert main([command] + TINY + paths_args(tmp_path)) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_non_finite_clean_estimate_is_a_numeric_failure(tmp_path, capsys):
+    # A sitcom step whose estimate is NaN (see the sampler test of the same
+    # config) exits 2 before it writes the reconstruction.
+    args = paths_args(tmp_path) + [
+        "--set", "nx=12", "--set", "ny=12", "--set", "nz=8",
+        "--set", "n_angles_full=30", "--set", "n_views=6", "--set", "n_steps=1",
+        "--set", "inner_steps=1", "--set", "lam=0", "--set", "lr=5.7e299"]
+    for command in ("generate-phantom", "simulate"):
+        assert main([command] + args) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--method", "sitcom"] + args) == 2
+    assert "numeric failure: sitcom estimate at t=1000" in capsys.readouterr().err
+    assert not (tmp_path / "recon.f64").exists()
 
 
 # ------------------------------------------------------- config parsing

@@ -261,7 +261,7 @@ def test_weights_io_round_trip(tmp_path):
 
 def test_weights_io_size_mismatch(tmp_path):
     path = tmp_path / "weights.f64"
-    save_weights(str(path), init_weights(16), SCHED)
+    save_weights(str(path), init_weights(16), SCHED, {})
     data = path.read_bytes()
     for damaged in (data[:-8], data + b"\0\0\0"):
         path.write_bytes(damaged)

@@ -10,7 +10,8 @@ fields are compared by one rule), one function runs
 `denoise` or `input_vjp` (a prior implements only `denoise_and_vjp`),
 every defaulted parameter of a public function or method in `src/` is
 passed by some call in `src/` or `benchmarks/` (a default nothing overrides
-is a constant, not a parameter), `samplers.py` imports nothing from
+is a constant, not a parameter) and left out by some call (a default every
+caller overrides is not a default), `samplers.py` imports nothing from
 `priors.py` (so no sampler path depends on which prior it holds), no module
 imports `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`,
 the sparse products `csr_matvecs` and `csc_matvecs` run only in
@@ -181,7 +182,9 @@ def passes(call, position, keyword):
             or (position is not None and len(call.args) > position))
 
 
-def test_every_defaulted_parameter_is_passed_by_a_caller():
+def defaults_and_calls():
+    """The defaulted parameters of `src/`, and {call name: calls} in `src/`
+    and `benchmarks/`."""
     sources = sorted(PACKAGE.glob("*.py"))
     calls = {}
     for path in sources + sorted((ROOT / "benchmarks").glob("*.py")):
@@ -189,13 +192,37 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    defaulted = [param for p in sources for param in defaulted_parameters(p)]
+    return [param for p in sources for param in defaulted_parameters(p)], calls
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    defaulted, calls = defaults_and_calls()
     assert UNPASSED_DEFAULTS <= {label for label, *_ in defaulted}
     unpassed = sorted(
         label for label, name, position, keyword in defaulted
         if label not in UNPASSED_DEFAULTS
         and not any(passes(c, position, keyword) for c in calls.get(name, [])))
     assert not unpassed, f"defaults that no caller overrides: {unpassed}"
+
+
+# Defaulted parameters that every call in src/ and benchmarks/ passes, and why.
+ALWAYS_PASSED_DEFAULTS = {
+    # A library run may have no ground truth; the CLI passes None for a
+    # phantom of another shape, so every call states whether it has one.
+    "samplers.Sampler.ground_truth",
+}
+
+
+def test_every_defaulted_parameter_is_left_out_by_a_caller():
+    # The mirror of the lint above, which alone judges a name no call uses.
+    defaulted, calls = defaults_and_calls()
+    assert ALWAYS_PASSED_DEFAULTS <= {label for label, *_ in defaulted}
+    always = {label for label, name, position, keyword in defaulted
+              if name in calls and all(passes(c, position, keyword) for c in calls[name])}
+    stale = sorted(ALWAYS_PASSED_DEFAULTS - always)
+    assert not stale, f"allowlisted as always passed, but some call leaves out: {stale}"
+    overridden = sorted(always - ALWAYS_PASSED_DEFAULTS)
+    assert not overridden, f"defaults that every caller overrides: {overridden}"
 
 
 def test_one_function_runs_cg_solve():

@@ -134,7 +134,7 @@ def test_posterior_mean_bounded_by_modes():
 
 
 def test_validation():
-    sched = NoiseSchedule.linear_beta()
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=30)
     with pytest.raises(ValueError):
         GmmScalarPrior(sched, [0.5, 0.6], [0.0, 1.0], [0.1, 0.1])  # sum != 1
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from nerdct import (
     soft_threshold,
 )
 from nerdct.rng import Xoshiro256PP
-from nerdct.volume import _dot
+from exact_inner import cg_oracle
 
 
 # ---------------------------------------------------------------- Adam
@@ -205,31 +205,10 @@ def test_project_linf_ball_matches_grid_minimiser(u):
 
 # ------------------------------------------------- conjugate gradient
 
-def cg_oracle(apply_op, b, tol, max_iter, x0):
-    """The out-of-place CG recursion; cg_solve must keep its bits."""
-    x = np.array(x0, dtype=np.float64)
-    r = b - apply_op(x)
-    d = r.copy()
-    rs = _dot(r, r)
-    b_norm = np.sqrt(_dot(b, b))
-    norms = [np.sqrt(rs)]
-    for _ in range(max_iter):
-        if norms[-1] <= tol * b_norm:
-            break
-        op_d = apply_op(d)
-        alpha = rs / _dot(d, op_d)
-        x = x + alpha * d
-        r = r - alpha * op_d
-        rs_new = _dot(r, r)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-        norms.append(np.sqrt(rs))
-    return x, norms
-
-
 def test_cg_in_place_matches_out_of_place_recursion():
     # apply_op returns one buffer it overwrites on every call, as the dds
-    # normal operator does; cg_solve must read it before the next call.
+    # normal operator does; cg_solve must read it before the next call,
+    # and keep the bits of the out-of-place recursion at tolerance 0.
     rng = Xoshiro256PP(8)
     mat = rng.normal_array((60, 60))
     spd = mat.T @ mat + 0.1 * np.eye(60)
@@ -244,89 +223,104 @@ def test_cg_in_place_matches_out_of_place_recursion():
 
     b = rng.normal_array((3, 4, 5))
     x0 = rng.normal_array((3, 4, 5))
-    for tol, max_iter in ((1e-14, 25), (1e-3, 200)):
+    for budget in (5, 25):
         held_b, held_x0 = b.copy(), x0.copy()
-        res = cg_solve(reused, b, tol=tol, max_iter=max_iter, x0=x0)
-        x, norms = cg_oracle(fresh, b, tol, max_iter, x0)
-        assert res.x.tobytes() == x.tobytes()
-        assert res.residual_norms == norms
-        assert res.iterations == len(norms) - 1
+        res = cg_solve(reused, b, x0, budget)
+        ref = cg_oracle(fresh, b, 0.0, budget, x0)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.residual_norms == ref.residual_norms
+        assert (res.iterations, res.converged, res.breakdown) == (budget, False, False)
+        assert ref.iterations == budget and not ref.converged and not ref.breakdown
         assert np.array_equal(b, held_b) and np.array_equal(x0, held_x0)
         assert not np.shares_memory(res.x, x0) and not np.shares_memory(res.x, buf)
 
 
 def test_cg_identity_system():
+    # alpha is exactly 1 on the identity, so one step leaves a residual of
+    # exactly zero and the rest of the budget is not spent.
     b = Xoshiro256PP(3).normal_array((10,))
-    res = cg_solve(lambda x: x, b, tol=1e-12)
-    assert res.converged
-    assert res.iterations <= 2
-    assert np.allclose(res.x, b, atol=1e-10)
+    res = cg_solve(lambda x: x, b, np.zeros(10), 5)
+    assert res.converged and not res.breakdown
+    assert res.iterations == 1
+    assert res.residual_norms == [np.linalg.norm(b), 0.0]
+    assert np.array_equal(res.x, b)
 
 
 def test_cg_hand_solved_2x2():
-    # [[4,1],[1,3]] x = [1,2] has solution [1/11, 7/11].
+    # [[4,1],[1,3]] x = [1,2] has solution [1/11, 7/11], which CG reaches
+    # in two steps.
     mat = np.array([[4.0, 1.0], [1.0, 3.0]])
-    res = cg_solve(lambda x: mat @ x, np.array([1.0, 2.0]), tol=1e-14)
-    assert res.converged
+    res = cg_solve(lambda x: mat @ x, np.array([1.0, 2.0]), np.zeros(2), 2)
+    assert res.iterations <= 2 and not res.breakdown
     assert np.allclose(res.x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-12)
 
 
 def test_cg_random_spd():
+    # The test-side tolerance CG, which criterion 5 runs, solves the system.
     rng = Xoshiro256PP(4)
     for _ in range(5):
         mat = rng.normal_array((12, 12))
         spd = mat.T @ mat + np.eye(12)
         b = rng.normal_array((12,))
-        res = cg_solve(lambda x: spd @ x, b, tol=1e-10, max_iter=200)
-        assert res.converged
+        res = cg_oracle(lambda x: spd @ x, b, 1e-10, 200, np.zeros(12))
+        assert res.converged and not res.breakdown
         assert np.linalg.norm(spd @ res.x - b) <= 1e-9 * np.linalg.norm(b) * 10
 
 
 def test_cg_residual_monotone_reported():
+    # The test-side tolerance CG stops at the first residual that meets it.
     rng = Xoshiro256PP(5)
     mat = rng.normal_array((20, 20))
     spd = mat.T @ mat + np.eye(20)
     b = rng.normal_array((20,))
-    res = cg_solve(lambda x: spd @ x, b, tol=1e-12, max_iter=100)
-    # CG residual history tracked and final entry at least meets the tolerance.
+    res = cg_oracle(lambda x: spd @ x, b, 1e-12, 100, np.zeros(20))
     assert len(res.residual_norms) == res.iterations + 1
     assert res.residual_norms[-1] <= 1e-12 * np.linalg.norm(b)
+    assert res.residual_norms[-2] > 1e-12 * np.linalg.norm(b)
 
 
-def test_cg_max_iter_respected():
+def test_cg_runs_its_whole_budget():
     rng = Xoshiro256PP(6)
     mat = rng.normal_array((30, 30))
     spd = mat.T @ mat + 1e-4 * np.eye(30)
     b = rng.normal_array((30,))
-    res = cg_solve(lambda x: spd @ x, b, tol=1e-16, max_iter=3)
-    assert not res.converged
+    res = cg_solve(lambda x: spd @ x, b, np.zeros(30), 3)
+    assert not res.converged and not res.breakdown
     assert res.iterations == 3
+    assert len(res.residual_norms) == 4
 
 
 def test_cg_breakdown_on_indefinite():
     # A matrix with a negative eigenvalue produces non-positive curvature;
-    # an operator returning NaN produces NaN curvature.
+    # an operator returning NaN produces NaN curvature.  Both solvers stop
+    # at the same iterate.
     mat = np.diag([1.0, -1.0])
-    b = np.array([1.0, 1.0])
-    res = cg_solve(lambda x: mat @ x, b, tol=1e-12, max_iter=10)
-    assert res.breakdown
-    res = cg_solve(lambda x: x * np.nan, np.ones(4), max_iter=5)
-    assert res.breakdown
-    assert res.iterations == 0
+    for apply_op, b, stopped_at in ((lambda x: mat @ x, np.array([1.0, 1.0]), 0),
+                                    (lambda x: mat @ x, np.array([2.0, 1.0]), 1),
+                                    (lambda x: x * np.nan, np.ones(4), 0)):
+        x0 = np.zeros_like(b)
+        res = cg_solve(apply_op, b, x0, 10)
+        ref = cg_oracle(apply_op, b, 0.0, 10, x0)
+        assert res.breakdown and ref.breakdown and not res.converged
+        assert res.iterations == ref.iterations == stopped_at
+        assert res.x.tobytes() == ref.x.tobytes()
     assert np.isnan(res.residual_norms[-1])
 
 
 def test_cg_warm_start():
+    # A start at the solution leaves a residual of exactly zero: no step
+    # is taken, so the zero curvature ahead is not a breakdown.
     mat = np.array([[4.0, 1.0], [1.0, 3.0]])
     exact = np.array([1.0 / 11.0, 7.0 / 11.0])
-    res = cg_solve(lambda x: mat @ x, np.array([1.0, 2.0]), tol=1e-14, x0=exact)
-    assert res.converged
+    res = cg_solve(lambda x: mat @ x, np.array([1.0, 2.0]), exact, 10)
+    assert res.converged and not res.breakdown
     assert res.iterations == 0
-    assert np.allclose(res.x, exact)
+    assert np.array_equal(res.x, exact)
 
 
 def test_cg_zero_rhs():
-    res = cg_solve(lambda x: 2.0 * x, np.zeros(5), tol=1e-12)
-    assert res.converged
+    res = cg_solve(lambda x: 2.0 * x, np.zeros(5), np.zeros(5), 10)
+    assert res.converged and not res.breakdown
+    assert res.iterations == 0
     assert np.all(res.x == 0.0)
     assert res.residual_norms == [0.0]

@@ -38,7 +38,7 @@ def test_forward_matches_dense_matrix():
     nx = ny = 16
     nz = 2
     geom = ProjectionGeometry(n_angles_full=12, n_detectors=23)
-    op = CTOperator(nx, ny, nz, geom)
+    op = CTOperator(nx, ny, nz, geom, range(geom.n_angles_full))
     dense = dense_forward_matrix(op, nx, ny, nz)
     rng = Xoshiro256PP(0)
     for _ in range(5):
@@ -101,7 +101,7 @@ def csr_bytes(matrix):
 @pytest.mark.parametrize("geom, views, hits", [
     (ProjectionGeometry(n_angles_full=12, n_detectors=23), [0, 5, 7, 11], True),
     (default_geometry(16, 12), [3], True),
-    (default_geometry(16, 12), None, True),
+    (default_geometry(16, 12), range(12), True),
     (ProjectionGeometry(n_angles_full=12, n_detectors=2, detector_spacing=40.0),
      [0, 5], False),  # every ray misses the grid
 ])
@@ -241,7 +241,7 @@ def test_centered_disk_projection_width():
     disk = (xx**2 + yy**2 <= r * r).astype(np.float64)
     vol = disk[None, :, :]
     geom = default_geometry(nx, 45)
-    sino = CTOperator(nx, ny, 1, geom).forward(vol)
+    sino = CTOperator(nx, ny, 1, geom, range(45)).forward(vol)
     center = geom.n_detectors // 2
     central = sino[:, center, 0]
     # Rasterized disk: allow one voxel of slack around 2r.
@@ -259,7 +259,7 @@ def test_rotation_consistency_smooth_blob():
     blob = np.exp(-(xx**2 + yy**2) / (2.0 * 6.0**2))
     vol = blob[None, :, :]
     geom = default_geometry(nx, 30)
-    sino = CTOperator(nx, ny, 1, geom).forward(vol)
+    sino = CTOperator(nx, ny, 1, geom, range(30)).forward(vol)
     profiles = sino[:, :, 0]
     ref = profiles[0]
     for k in range(1, geom.n_angles_full):
@@ -268,7 +268,7 @@ def test_rotation_consistency_smooth_blob():
 
 def test_zero_volume_zero_sinogram():
     geom = default_geometry(16, 10)
-    op = CTOperator(16, 16, 3, geom)
+    op = CTOperator(16, 16, 3, geom, range(10))
     assert np.all(op.forward(np.zeros((3, 16, 16))) == 0.0)
     assert np.all(op.adjoint(np.zeros(op.sinogram_shape)) == 0.0)
 
@@ -277,7 +277,7 @@ def test_view_subsampling_matches_row_selection():
     # P*T: projecting at a view subset equals slicing the full sinogram.
     geom = ProjectionGeometry(n_angles_full=20, n_detectors=23)
     views = uniform_view_indices(20, 5)
-    full = CTOperator(16, 16, 2, geom)
+    full = CTOperator(16, 16, 2, geom, range(20))
     sub = CTOperator(16, 16, 2, geom, views)
     vol = Xoshiro256PP(2).normal_array((2, 16, 16))
     assert np.allclose(sub.forward(vol), full.forward(vol)[views], atol=1e-13)
@@ -286,7 +286,7 @@ def test_view_subsampling_matches_row_selection():
 def test_subsampled_adjoint_equals_zero_filled_full_adjoint():
     geom = ProjectionGeometry(n_angles_full=20, n_detectors=23)
     views = uniform_view_indices(20, 5)
-    full = CTOperator(16, 16, 2, geom)
+    full = CTOperator(16, 16, 2, geom, range(20))
     sub = CTOperator(16, 16, 2, geom, views)
     sino = Xoshiro256PP(3).normal_array(sub.sinogram_shape)
     padded = np.zeros(full.sinogram_shape)
@@ -307,7 +307,7 @@ def test_uniform_view_indices():
 def test_operator_validation():
     geom = default_geometry(16, 10)
     with pytest.raises(ValueError):
-        CTOperator(16, 8, 2, geom)  # nx != ny unsupported
+        CTOperator(16, 8, 2, geom, range(10))  # nx != ny unsupported
     with pytest.raises(ValueError):
         CTOperator(16, 16, 2, geom, [0, 0, 1])  # duplicate views
     with pytest.raises(ValueError):
@@ -316,7 +316,7 @@ def test_operator_validation():
         with pytest.raises(ValueError, match="integers"):
             CTOperator(16, 16, 2, geom, views)
     with pytest.raises(ValueError, match="empty volume"):
-        CTOperator(16, 16, 0, geom)
+        CTOperator(16, 16, 0, geom, range(10))
     with pytest.raises(ValueError, match="non-empty 1D"):
         CTOperator(16, 16, 2, geom, [])
     op = CTOperator(16, 16, 2, geom, [0, 5])
@@ -327,7 +327,7 @@ def test_operator_validation():
 
 
 def test_default_geometry_detector_count():
-    geom = default_geometry(64)
+    geom = default_geometry(64, 180)
     assert geom.n_detectors == math.ceil(64 * math.sqrt(2.0))
     assert geom.n_angles_full == 180
     angles = geom.angles
@@ -340,7 +340,7 @@ def test_slicewise_structure():
     # Each z-slice projects independently: sinogram slice k depends only
     # on volume slice k.
     geom = default_geometry(16, 8)
-    op = CTOperator(16, 16, 3, geom)
+    op = CTOperator(16, 16, 3, geom, range(8))
     rng = Xoshiro256PP(4)
     vol = rng.normal_array((3, 16, 16))
     sino = op.forward(vol)
@@ -379,7 +379,7 @@ def test_sinogram_io_round_trip(tmp_path):
     op = CTOperator(16, 16, 2, geom, views)
     sino = op.forward(Xoshiro256PP(6).normal_array((2, 16, 16)))
     path = tmp_path / "sino.f64"
-    save_sinogram(str(path), sino, op, sigma_y=0.1, seed=3)
+    save_sinogram(str(path), sino, op, sigma_y=0.1, seed=3, provenance={})
     loaded, meta = load_sinogram(str(path), op)
     assert np.array_equal(loaded, sino)
     assert meta["geometry"]["n_angles_full"] == 12
@@ -391,10 +391,10 @@ def test_sinogram_io_round_trip(tmp_path):
 
 
 def test_sinogram_io_size_mismatch(tmp_path):
-    op = CTOperator(4, 4, 2, ProjectionGeometry(n_angles_full=6, n_detectors=11))
+    op = CTOperator(4, 4, 2, ProjectionGeometry(n_angles_full=6, n_detectors=11), range(6))
     sino = np.zeros((6, 11, 2))
     path = tmp_path / "sino.f64"
-    save_sinogram(str(path), sino, op)
+    save_sinogram(str(path), sino, op, 0.0, 0, {})
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_sinogram(str(path), op)
@@ -403,10 +403,10 @@ def test_sinogram_io_size_mismatch(tmp_path):
 def test_save_sinogram_rejects_array_of_another_operator(tmp_path):
     # A 6-view 8x8x2 operator records 6 views; a 5-view array must not be
     # written under that record.
-    op = CTOperator(8, 8, 2, ProjectionGeometry(n_angles_full=6, n_detectors=12))
+    op = CTOperator(8, 8, 2, ProjectionGeometry(n_angles_full=6, n_detectors=12), range(6))
     path = tmp_path / "sino.f64"
     with pytest.raises(ValueError, match="n_views 6, the array has 5"):
-        save_sinogram(str(path), np.zeros((5, 12, 2)), op)
+        save_sinogram(str(path), np.zeros((5, 12, 2)), op, 0.0, 0, {})
     assert not path.exists()
     assert not (tmp_path / "sino.f64.json").exists()
 

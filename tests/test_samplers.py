@@ -18,6 +18,10 @@ from nerdct import (
     Sampler,
     SamplerConfig,
     SamplerError,
+    build_operator,
+    build_prior,
+    build_run_config,
+    build_schedule,
     default_geometry,
     dz_adjoint,
     dz_forward,
@@ -30,8 +34,7 @@ from nerdct import (
 from nerdct.optim import cg_solve
 from nerdct.rng import Xoshiro256PP
 from nerdct.samplers import METHODS, SamplerState
-from exact_inner import solve_inner_exactly
-from test_optim import cg_oracle
+from exact_inner import cg_oracle, solve_inner_exactly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 NX, NZ = 16, 8
@@ -378,7 +381,7 @@ def test_dds_lam_z_zero_full_view_reaches_least_squares():
     # All views kept, no noise, l1 weight lam_z = 0 and a vanishing
     # quadratic penalty: 2000 CG steps solve plain least squares, whose
     # residual is zero for consistent measurements.
-    op, phantom, y = small_problem(views=None)
+    op, phantom, y = small_problem(views=range(12))
     cfg = config("dds", lam_z=0.0, rho=1e-9, dds_admm_iters=1, cg_max_iter=2000)
     sampler = Sampler(cfg, op, y, gmm_prior(), SCHED)
     state = sampler.initialize()
@@ -450,7 +453,7 @@ def column_solve(op, y, cfg):
 
     def solve(x, z, w):
         rhs = columns(half_rho * dz_adjoint(z - w)) + columns(op.adjoint(y))
-        cols, _ = cg_oracle(apply_op, rhs, 0.0, cfg.cg_max_iter, columns(x))
+        cols = cg_oracle(apply_op, rhs, 0.0, cfg.cg_max_iter, columns(x)).x
         return np.ascontiguousarray(cols.T).reshape(x.shape)
 
     return solve
@@ -466,7 +469,7 @@ def volume_solve(op, y, cfg):
 
     def solve(x, z, w):
         rhs = 2.0 * op.adjoint(y) + rho * dz_adjoint(z - w)
-        return cg_oracle(apply_op, rhs, 0.0, cfg.cg_max_iter, x)[0]
+        return cg_oracle(apply_op, rhs, 0.0, cfg.cg_max_iter, x).x
 
     return solve
 
@@ -759,3 +762,18 @@ def test_overflowing_inner_objective_raises():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SamplerError):
             sampler.step(state, 1000, 500)
+
+
+def test_non_finite_clean_estimate_raises():
+    # Adam's first step at lr 5.7e299 moves v to about +-5.7e299, where the
+    # default GMM prior returns NaN without a floating-point warning; run
+    # must raise, not return the NaN estimate.
+    cfg = build_run_config({}, {
+        "nx": "12", "ny": "12", "nz": "8", "n_angles_full": "30", "n_views": "6",
+        "method": "sitcom", "n_steps": "1", "inner_steps": "1", "lam": "0",
+        "lr": "5.7e299"})
+    op, schedule = build_operator(cfg), build_schedule(cfg)
+    sampler = Sampler(cfg, op, op.forward(shepp_logan_3d(12, 12, 8)),
+                      build_prior(cfg, schedule), schedule)
+    with pytest.raises(SamplerError, match="sitcom estimate at t=1000: 1152 non-finite"):
+        sampler.run()

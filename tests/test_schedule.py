@@ -9,7 +9,7 @@ from nerdct.rng import Xoshiro256PP
 
 
 def test_linear_beta_alpha_bar_shape_and_bounds():
-    sched = NoiseSchedule.linear_beta()
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=30)
     assert sched.num_train_steps == 1000
     assert sched.alpha_bar.shape == (1001,)
     assert sched.alpha_bar[0] == 1.0
@@ -19,7 +19,8 @@ def test_linear_beta_alpha_bar_shape_and_bounds():
 
 
 def test_linear_beta_matches_cumprod():
-    sched = NoiseSchedule.linear_beta(num_train_steps=100, beta_start=1e-4, beta_end=0.02)
+    sched = NoiseSchedule.linear_beta(num_train_steps=100, beta_start=1e-4, beta_end=0.02,
+                                      n_sampling_steps=30)
     betas = np.linspace(1e-4, 0.02, 100)
     expected = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     assert np.allclose(sched.alpha_bar, expected, rtol=1e-14)
@@ -69,7 +70,7 @@ def test_schedule_validation():
 
 
 def test_tweedie_formula_direct():
-    sched = NoiseSchedule.linear_beta()
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=30)
     t = 500
     a = sched.alpha_bar[t]
     x_t = np.full((2, 2, 2), 0.7)
@@ -80,7 +81,7 @@ def test_tweedie_formula_direct():
 
 def test_tweedie_noiseless_limit():
     # At t where alpha_bar ~ 1, x0 ~ x_t when eps = 0.
-    sched = NoiseSchedule.linear_beta()
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=30)
     x_t = Xoshiro256PP(1).normal_array((3, 3, 3))
     x0 = tweedie_denoise(x_t, 1, np.zeros_like(x_t), sched)
     assert np.allclose(x0, x_t / np.sqrt(sched.alpha_bar[1]), rtol=1e-14)

@@ -86,19 +86,19 @@ def test_validate_volume_rejects_bad_input(tmp_path):
     for bad in (np.zeros((3, 3)), np.full((2, 2, 2), np.nan),
                 np.full((2, 2, 2), np.inf)):
         with pytest.raises(ValueError):
-            save_volume(str(path), bad)
+            save_volume(str(path), bad, {})
         assert not path.exists()
 
 
 def test_validate_volume_dtype_and_layout(tmp_path):
     # save_volume widens float32 to float64 and writes C order.
     path = tmp_path / "vol.f64"
-    save_volume(str(path), np.arange(60, dtype=np.float32).reshape(3, 4, 5))
+    save_volume(str(path), np.arange(60, dtype=np.float32).reshape(3, 4, 5), {})
     loaded, _ = load_volume(str(path))
     assert loaded.dtype == np.float64
     assert np.array_equal(loaded, np.arange(60.0).reshape(3, 4, 5))
     fortran = np.asfortranarray(np.arange(60.0).reshape(3, 4, 5))
-    save_volume(str(path), fortran)
+    save_volume(str(path), fortran, {})
     assert path.read_bytes() == np.arange(60.0).tobytes()
     assert load_volume(str(path))[0].flags["C_CONTIGUOUS"]
 
@@ -125,7 +125,7 @@ def test_volume_io_round_trip(tmp_path):
 def test_volume_io_size_mismatch(tmp_path):
     vol = np.zeros((2, 2, 2))
     path = tmp_path / "vol.f64"
-    save_volume(str(path), vol)
+    save_volume(str(path), vol, {})
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError):
@@ -136,8 +136,8 @@ def test_volume_io_deterministic_bytes(tmp_path):
     vol = Xoshiro256PP(6).normal_array((4, 4, 4))
     p1 = tmp_path / "a.f64"
     p2 = tmp_path / "b.f64"
-    save_volume(str(p1), vol)
-    save_volume(str(p2), vol)
+    save_volume(str(p1), vol, {})
+    save_volume(str(p2), vol, {})
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "a.f64.json").read_bytes() == (tmp_path / "b.f64.json").read_bytes()
 
@@ -151,7 +151,7 @@ def test_volume_io_rejects_bad_sidecar_dims(tmp_path, shape, edits):
     # Each edit keeps the byte-size product (True is 1), so only a check of
     # the values themselves catches it.
     path = tmp_path / "vol.f64"
-    save_volume(str(path), np.zeros(shape))
+    save_volume(str(path), np.zeros(shape), {})
     sidecar_path = tmp_path / "vol.f64.json"
     sidecar = json.loads(sidecar_path.read_text())
     sidecar_path.write_text(json.dumps({**sidecar, **edits}))
@@ -162,7 +162,7 @@ def test_volume_io_rejects_bad_sidecar_dims(tmp_path, shape, edits):
 def test_volume_io_rejects_deeply_nested_sidecar(tmp_path):
     # json.load recurses once per level; a traceback used to escape the CLI.
     path = tmp_path / "vol.f64"
-    save_volume(str(path), np.zeros((1, 1, 1)))
+    save_volume(str(path), np.zeros((1, 1, 1)), {})
     (tmp_path / "vol.f64.json").write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ValueError, match="nested too deeply"):
         load_volume(str(path))
