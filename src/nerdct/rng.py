@@ -162,10 +162,6 @@ class Xoshiro256PP:
         words, self._s = _generate(self._s, count)
         return words
 
-    def raw(self, count):
-        """Next `count` raw 64-bit outputs as Python ints."""
-        return self._words(count).tolist()
-
     def uniforms(self, count):
         """float64 array of `count` uniforms in [0, 1)."""
         return (self._words(count) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)

@@ -297,10 +297,12 @@ class Sampler:
 
             (A^T A + (rho/2) Dz^T Dz) x = A^T y + (rho/2) Dz^T (z - w).
 
-        CG runs in the projector's (ny*nx, nz) column layout, where z is the
-        fast axis; each solve moves its start and rhs in and its result out
-        once.  A^T y and the operator's two column buffers are made once
-        per step.
+        x, z and w are (nz, ny*nx) transposes of C-contiguous (ny*nx, nz)
+        column arrays, the projector's layout with z the fast axis: Dz, the
+        split update and the rhs act along axis 0 of these views, and CG
+        reads and returns their transposes, so the layout changes only
+        after the denoise and at the return.  A^T y and the operator's two
+        column buffers are made once per step.
         """
         cfg, op, nz = self.config, self.op, self.op.nz
         half_rho = 0.5 * self.rho
@@ -323,19 +325,18 @@ class Sampler:
             np.add(flat_out[1:], flat_dz[:-1], out=flat_out[1:])
             return out
 
-        x = self.prior.denoise(state.x, t)
+        x = np.ascontiguousarray(self.prior.denoise(state.x, t).reshape(nz, -1).T).T
         z = np.zeros_like(x)
         w = np.zeros_like(x)
         for _ in range(cfg.dds_admm_iters):
-            rhs = np.ascontiguousarray((half_rho * dz_adjoint(z - w)).reshape(nz, -1).T)
+            rhs = (half_rho * dz_adjoint(z - w)).T
             rhs += aty
-            result = cg_solve(apply_op, rhs, np.ascontiguousarray(x.reshape(nz, -1).T),
-                              cfg.cg_max_iter)
+            result = cg_solve(apply_op, rhs, x.T, cfg.cg_max_iter)
             if result.breakdown:
                 raise SamplerError("CG breakdown in normal-equation solve")
-            x = np.ascontiguousarray(result.x.T).reshape(self.volume_shape)
+            x = result.x.T
             z, w = self._split_update(x, z, w)
-        return x
+        return np.ascontiguousarray(x).reshape(self.volume_shape)
 
     def step(self, state, t, t_next):
         """Clean estimate at t, SamplerError unless finite, then resample to t_next."""

@@ -16,10 +16,15 @@ caller overrides is not a default), `samplers.py` imports nothing from
 imports `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`,
 the sparse products `csr_matvecs` and `csc_matvecs` run only in
 `CTOperator.forward_columns` and `adjoint_columns` (one kernel path for
-both layouts), and README's config key table lists exactly the fields of
-`RunConfig`."""
+both layouts), every public method of a public class in `src/` is read as
+an attribute in `src/` or `benchmarks/` (no method that only tests call),
+no loop of `Sampler._dds_estimate` and no function nested in it copies or
+reshapes (`dds` keeps its iterates in the projector's column layout for the
+whole step), README's config key table lists exactly the fields of
+`RunConfig`, and README's library example runs as written."""
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -253,6 +258,54 @@ def test_only_the_prior_base_defines_denoise_and_input_vjp():
     assert not definers, definers
 
 
+# Public methods that nothing in src/ or benchmarks/ reads, and why.
+UNREAD_METHODS = {
+    # The benchmark tracer wraps it by name, as a string; it goes with the
+    # tracer's change to the fused call (ROADMAP item 3).
+    "priors.DenoiserPrior.input_vjp",
+}
+
+
+def test_every_public_method_is_read_outside_tests():
+    sources = sorted(PACKAGE.glob("*.py"))
+    read = {node.attr for p in sources + sorted((ROOT / "benchmarks").glob("*.py"))
+            for node in nodes(p) if isinstance(node, ast.Attribute)}
+    methods = {f"{p.stem}.{cls.name}.{item.name}": item.name
+               for p in sources for cls in ast.parse(p.read_text()).body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for item in cls.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not item.name.startswith("_")}
+    unread = {label for label, name in methods.items() if name not in read}
+    stale = sorted(UNREAD_METHODS - unread)
+    assert not stale, f"allowlisted as unread, but read or gone: {stale}"
+    offenders = sorted(unread - UNREAD_METHODS)
+    assert not offenders, f"public methods that only tests call: {offenders}"
+
+
+COPY_CALLS = {"ascontiguousarray", "copy", "reshape"}
+
+
+def test_dds_step_makes_no_layout_copy_per_iteration():
+    # x, z and w stay (nz, ny*nx) transposes of column arrays, so only the
+    # denoised start and the returned volume change layout.  A nested def
+    # is the CG operator, which runs once per CG step.
+    tree = ast.parse((PACKAGE / "samplers.py").read_text())
+    sampler = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "Sampler")
+    estimate = next(item for item in sampler.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "_dds_estimate")
+    repeated = [node for node in ast.walk(estimate) if node is not estimate and isinstance(
+        node, (ast.For, ast.While, ast.FunctionDef))]
+    assert repeated, "_dds_estimate has no loop"
+    offenders = sorted({
+        f"line {call.lineno}: {ast.unparse(call.func)}"
+        for node in repeated for call in ast.walk(node)
+        if isinstance(call, ast.Call) and COPY_CALLS & {
+            getattr(call.func, "id", None), getattr(call.func, "attr", None)}})
+    assert not offenders, f"copies inside _dds_estimate's loops: {offenders}"
+
+
 def test_one_function_constructs_ct_operator():
     # simulate and reconstruct build the projector the same way.
     callers = set().union(*(calling_functions(p, "CTOperator")
@@ -342,3 +395,11 @@ def readme_config_keys():
 
 def test_readme_config_keys_match_run_config():
     assert readme_config_keys() == {f.name for f in fields(RunConfig)}
+
+
+def test_readme_library_example_runs():
+    # Run verbatim, with warnings as errors, in a new interpreter.
+    section = (ROOT / "README.md").read_text().split("## Library usage", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = fresh_output("import warnings\nwarnings.simplefilter('error')\n" + block)
+    assert math.isfinite(float(out)), out

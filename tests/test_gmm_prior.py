@@ -49,7 +49,7 @@ def test_posterior_mean_matches_monte_carlo():
     cases = [(0.2, 900), (-0.1, 500), (0.5, 200), (1.2, 50), (0.05, 999)]
     for x_val, t in cases:
         got = float(prior.denoise(np.full((1, 1, 1), x_val), t)[0, 0, 0])
-        est, se = mc_posterior_mean(x_val, t, weights, means, stds, sched, 400_000, seed=int(rng.raw(1)[0] % 2**31))
+        est, se = mc_posterior_mean(x_val, t, weights, means, stds, sched, 400_000, seed=rng._words(1).tolist()[0] % 2**31)
         assert abs(got - est) <= max(3.0 * se, 2e-3), (x_val, t, got, est, se)
 
 

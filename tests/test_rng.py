@@ -62,6 +62,11 @@ XOSHIRO_GOLDEN = {
 }
 
 
+def raw(rng, count):
+    """The next `count` raw 64-bit outputs of `rng` as Python ints."""
+    return rng._words(count).tolist()
+
+
 def test_splitmix64_golden():
     assert tuple(splitmix64_stream(0, 5)) == SPLITMIX_SEED0
     assert tuple(splitmix64_stream(42, 5)) == SPLITMIX_SEED42
@@ -70,20 +75,20 @@ def test_splitmix64_golden():
 def test_xoshiro_golden():
     for seed, expected in XOSHIRO_GOLDEN.items():
         rng = Xoshiro256PP(seed)
-        assert tuple(rng.raw(8)) == expected
+        assert tuple(raw(rng, 8)) == expected
 
 
 def test_raw_is_sequential():
     # raw(3) then raw(5) must equal raw(8) from a fresh generator.
     a = Xoshiro256PP(7)
-    first = list(a.raw(3)) + list(a.raw(5))
+    first = list(raw(a, 3)) + list(raw(a, 5))
     b = Xoshiro256PP(7)
-    assert first == list(b.raw(8))
+    assert first == list(raw(b, 8))
 
 
 def test_uniforms_match_raw_bits():
     rng = Xoshiro256PP(3)
-    bits = Xoshiro256PP(3).raw(64)
+    bits = raw(Xoshiro256PP(3), 64)
     u = rng.uniforms(64)
     expected = np.array([(b >> 11) * 2.0**-53 for b in bits])
     assert np.array_equal(u, expected)
@@ -97,7 +102,7 @@ def test_normals_pair_structure():
     even.normals(6)
     odd = Xoshiro256PP(11)
     odd.normals(5)
-    assert list(even.raw(4)) == list(odd.raw(4))
+    assert list(raw(even, 4)) == list(raw(odd, 4))
 
     # Leading values of an odd draw equal the even draw prefix.
     a = Xoshiro256PP(12).normals(7)
@@ -153,8 +158,8 @@ def test_integers_range_and_determinism():
 
 
 def test_distinct_seeds_distinct_streams():
-    a = Xoshiro256PP(0).raw(4)
-    b = Xoshiro256PP(1).raw(4)
+    a = raw(Xoshiro256PP(0), 4)
+    b = raw(Xoshiro256PP(1), 4)
     assert list(a) != list(b)
 
 
@@ -193,7 +198,7 @@ def test_lane_words_match_oracle_on_large_draws(count):
     # 1024, the last one word long; 196 lanes of 1024.
     rng = Xoshiro256PP(2**63 + 5)
     words, state = scalar_words(rng._s, count)
-    assert rng.raw(count) == words
+    assert raw(rng, count) == words
     assert rng._s == state
 
 
@@ -215,7 +220,7 @@ def test_lane_words_match_oracle(seed, sizes):
     state = rng._s
     for count in sizes:
         words, state = scalar_words(state, count)
-        assert rng.raw(count) == words
+        assert raw(rng, count) == words
         assert rng._s == state
 
 
@@ -240,14 +245,14 @@ def test_tiny_draws_match_oracle_between_lane_draws(seed, sizes):
 
 
 def test_jump_cache_stays_small():
-    Xoshiro256PP(1).raw(2**20)
+    raw(Xoshiro256PP(1), 2**20)
     cached = rng_module._jump.cache_info().currsize
     assert cached >= 20
     assert sum(rng_module._jump(k).nbytes for k in range(cached)) <= 256 * 1024
 
 
 @pytest.mark.parametrize("draw", [
-    lambda rng: rng.raw(-1),
+    lambda rng: raw(rng, -1),
     lambda rng: rng.uniforms(-1),
     lambda rng: rng.normals(-1),
     lambda rng: rng.normals(-3),
