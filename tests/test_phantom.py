@@ -1,5 +1,7 @@
 """3D Shepp-Logan phantom geometry checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,80 @@ def test_dims_validated():
         shepp_logan_3d(4, 32, 32)
     with pytest.raises(ValueError):
         shepp_logan_3d(32, 32, 7)
+
+
+def _grid_phantom(nx, ny, nz, ellipsoids):
+    """The phantom formula evaluated on full 3D coordinate grids."""
+    zs = np.linspace(-1.0, 1.0, nz)
+    ys = np.linspace(-1.0, 1.0, ny)
+    xs = np.linspace(-1.0, 1.0, nx)
+    grid_z, grid_y, grid_x = np.meshgrid(zs, ys, xs, indexing="ij")
+    vol = np.zeros((nz, ny, nx))
+    for e in ellipsoids:
+        phi = np.deg2rad(e.angle_deg)
+        dx = grid_x - e.center[0]
+        dy = grid_y - e.center[1]
+        dz = grid_z - e.center[2]
+        rot_x = dx * np.cos(phi) + dy * np.sin(phi)
+        rot_y = -dx * np.sin(phi) + dy * np.cos(phi)
+        a, b, c = e.semi_axes
+        inside = (rot_x / a) ** 2 + (rot_y / b) ** 2 + (dz / c) ** 2 <= 1.0
+        vol[inside] += e.intensity
+    return np.clip(vol, 0.0, 1.0)
+
+
+# No slice within z in [-1, 1]; a slab cut off by z = 1; rotated and
+# off-centre on every axis.
+_EDGE_TABLE = (
+    Ellipsoid(0.7, (0.0, 0.0, 1.4), (0.5, 0.5, 0.3)),
+    Ellipsoid(0.4, (0.1, 0.0, 0.9), (0.6, 0.3, 0.35), -25.0),
+    Ellipsoid(0.3, (-0.3, 0.2, -0.35), (0.45, 0.2, 0.5), 37.0),
+)
+
+
+@pytest.mark.parametrize("table", ["default", "edge"])
+@pytest.mark.parametrize("shape", [(64, 64, 16), (33, 33, 17), (24, 40, 9)],
+                         ids=["64x64x16", "33x33x17", "24x40x9"])
+def test_bits_equal_full_grid_formula(shape, table):
+    ellipsoids = SHEPP_LOGAN_ELLIPSOIDS if table == "default" else _EDGE_TABLE
+    vol = shepp_logan_3d(*shape, ellipsoids=ellipsoids)
+    assert vol.tobytes() == _grid_phantom(*shape, ellipsoids).tobytes()
+
+
+def test_edge_table_covers_each_slab_case():
+    alone = [shepp_logan_3d(24, 40, 9, ellipsoids=(e,)) for e in _EDGE_TABLE]
+    assert not alone[0].any()
+    assert alone[1][-1].any() and not alone[1][0].any()
+    assert alone[2].any()
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("intensity", dict(intensity=float("nan"))),
+    ("intensity", dict(intensity=float("inf"))),
+    ("intensity", dict(intensity="0.5")),
+    ("angle_deg", dict(angle_deg=float("nan"))),
+    ("angle_deg", dict(angle_deg=True)),
+    ("center", dict(center=(0.0, float("nan"), 0.0))),
+    ("center", dict(center=(0.0, 0.0))),
+    ("center", dict(center=None)),
+    ("semi_axes", dict(semi_axes=(0.3, 0.0, 0.3))),
+    ("semi_axes", dict(semi_axes=(0.3, -0.2, 0.3))),
+    ("semi_axes", dict(semi_axes=(0.3, 0.3, float("inf")))),
+    ("semi_axes", dict(semi_axes=(0.3, 0.3, 0.3, 0.3))),
+])
+def test_ellipsoid_refuses_bad_values(field, kwargs):
+    fields = dict(intensity=0.5, center=(0.0, 0.0, 0.0), semi_axes=(0.3, 0.3, 0.3),
+                  angle_deg=0.0)
+    with pytest.raises(ValueError, match=field):
+        Ellipsoid(**{**fields, **kwargs})
+
+
+def test_peak_memory_is_a_few_volumes():
+    shepp_logan_3d(64, 64, 32)
+    tracemalloc.start()
+    try:
+        vol = shepp_logan_3d(64, 64, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * vol.nbytes, peak / vol.nbytes
