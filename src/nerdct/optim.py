@@ -34,8 +34,18 @@ class AdamState:
     v: np.ndarray = field(default=None, repr=False)
 
 
+ADAM_TILE = 8192    # elements per tile of adam_step's pass
+
+
 def adam_step(state, x, grad):
-    """One Adam update; mutates `state` in place, never `x`; returns the new iterate."""
+    """One Adam update; mutates `state` in place, never `x`; returns the new iterate.
+
+    Both checks run before any state is touched.  The moments and the step
+    are then formed tile by tile over the flat arrays, so one tile-sized
+    scratch is the only temporary besides the returned iterate; each
+    element gets the same operations in the same order as the formulas in
+    `AdamState`.
+    """
     if grad.shape != x.shape:
         raise ValueError(f"gradient shape {grad.shape} != iterate shape {x.shape}")
     if not np.all(np.isfinite(grad)):
@@ -44,21 +54,33 @@ def adam_step(state, x, grad):
             f"non-finite gradient ({bad} entries) at Adam step {state.t + 1}"
         )
     if state.m is None:
-        state.m = np.zeros_like(x)
-        state.v = np.zeros_like(x)
+        # C order, so that their flat views below write through to them.
+        state.m = np.zeros_like(x, order="C")
+        state.v = np.zeros_like(x, order="C")
     state.t += 1
-    scratch = np.multiply(1.0 - ADAM_BETA1, grad)
-    state.m *= ADAM_BETA1
-    state.m += scratch
-    np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
-    scratch *= grad
-    state.v *= ADAM_BETA2
-    state.v += scratch
-    np.sqrt(np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=scratch), out=scratch)
-    scratch += ADAM_EPS
-    step = state.m / (1.0 - ADAM_BETA1 ** state.t) * state.lr
-    step /= scratch
-    return np.subtract(x, step, out=step)
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
+    new = np.empty_like(state.m)
+    m, v, g, x_in, out = (a.reshape(-1) for a in (state.m, state.v, grad, x, new))
+    scratch = np.empty(min(ADAM_TILE, m.size), dtype=g.dtype)
+    for lo in range(0, m.size, ADAM_TILE):
+        tile = slice(lo, lo + ADAM_TILE)
+        m_t, v_t, g_t, out_t = m[tile], v[tile], g[tile], out[tile]
+        s = scratch[:m_t.size]
+        np.multiply(1.0 - ADAM_BETA1, g_t, out=s)
+        m_t *= ADAM_BETA1
+        m_t += s
+        np.multiply(1.0 - ADAM_BETA2, g_t, out=s)
+        s *= g_t
+        v_t *= ADAM_BETA2
+        v_t += s
+        np.sqrt(np.divide(v_t, bias2, out=s), out=s)
+        s += ADAM_EPS
+        np.divide(m_t, bias1, out=out_t)
+        out_t *= state.lr
+        out_t /= s
+        np.subtract(x_in[tile], out_t, out=out_t)
+    return new
 
 
 def soft_threshold(v, kappa):

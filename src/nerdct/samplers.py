@@ -105,7 +105,7 @@ class TraceRecord:
 @dataclass
 class SamplerState:
     x: np.ndarray                 # current x_t
-    x0: np.ndarray = None         # latest clean estimate
+    x0: np.ndarray = None         # latest clean estimate, None while a step runs
     z: np.ndarray = None          # ADMM auxiliary (nerd-a)
     w_dual: np.ndarray = None     # ADMM scaled dual (nerd-a)
     u: np.ndarray = None          # l-inf dual (nerd-p)
@@ -196,6 +196,10 @@ class Sampler:
         `terms(blocks)` returns the method's objective and its gradient,
         (loss, grad); the anchor lam ||v - x_t||^2 is added to both last.
         Returns the final blocks and the loss before each update.
+
+        Here and in each `terms`, a volume-sized temporary is scaled in
+        place and deleted once read, so that it is gone before the next
+        volume is made: the step's peak memory counts every one still held.
         """
         cfg = self.config
         adam = AdamState(lr=cfg.lr)
@@ -205,13 +209,16 @@ class Sampler:
             if cfg.lam != 0.0:
                 anchor = blocks[0] - x_t
                 loss += cfg.lam * l2_norm_sq(anchor)
-                grad[0] += 2.0 * cfg.lam * anchor
+                anchor *= 2.0 * cfg.lam
+                grad[0] += anchor
+                del anchor
             if not np.isfinite(loss):
                 raise SamplerError(
                     f"non-finite inner objective ({loss}) in {what} at t={t}"
                 )
             losses.append(loss)
             blocks = adam_step(adam, blocks, grad)
+            del grad
         return blocks, losses
 
     def _split_update(self, x, z, w):
@@ -235,12 +242,19 @@ class Sampler:
         def terms(blocks):
             x0, vjp = self.prior.denoise_and_vjp(blocks[0], t)
             resid = self.op.forward(x0) - self.y
+            gap = dz_forward(x0) if self.rho != 0.0 else None
+            del x0
             loss = l2_norm_sq(resid)
-            cot = 2.0 * self.op.adjoint(resid)
-            if self.rho != 0.0:
-                gap = dz_forward(x0) - state.z + state.w_dual
+            cot = self.op.adjoint(resid)
+            cot *= 2.0
+            if gap is not None:
+                gap -= state.z
+                gap += state.w_dual
                 loss += 0.5 * self.rho * l2_norm_sq(gap)
-                cot += self.rho * dz_adjoint(gap)
+                gap = dz_adjoint(gap)
+                gap *= self.rho
+                cot += gap
+                del gap
             return loss, vjp(cot)[None]
 
         (v,), state.inner_losses = self._optimize(
@@ -260,32 +274,38 @@ class Sampler:
         """
         cfg = self.config
         w_hat = state.w - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
-        pair = np.stack([state.x, w_hat])
-        grad = np.empty_like(pair)
+        grad = np.empty((2,) + self.volume_shape)
 
         def terms(blocks):
             v, w = blocks
             grad_v, grad_w = grad
             resid = self.op.forward(w) - self.y
+            np.multiply(2.0, self.op.adjoint(resid), out=grad_w)
             w_gap = w - w_hat
             loss = l2_norm_sq(resid) + 0.5 / cfg.tau * l2_norm_sq(w_gap)
-            np.add(2.0 * self.op.adjoint(resid), w_gap / cfg.tau, out=grad_w)
+            w_gap /= cfg.tau
+            grad_w += w_gap
+            del w_gap
             x0, vjp = self.prior.denoise_and_vjp(v, t)
             couple = x0 - w
+            del x0
             loss += cfg.lam_couple * l2_norm_sq(couple)
             np.multiply(2.0 * cfg.lam_couple, vjp(couple), out=grad_v)
-            grad_w -= 2.0 * cfg.lam_couple * couple
+            couple *= 2.0 * cfg.lam_couple
+            grad_w -= couple
             return loss, grad
 
+        # The stacked start is passed, not named, so that no local holds it
+        # past the first update.
         (v, w_new), state.inner_losses = self._optimize(
-            state.x, t, pair, terms, "joint optimization")
+            state.x, t, np.stack([state.x, w_hat]), terms, "joint optimization")
         w_bar = 2.0 * w_new - state.w
         state.u = project_linf_ball(
             state.u + cfg.sigma * cfg.lam_z * dz_forward(w_bar)
         )
         if not np.max(np.abs(state.u)) <= 1.0:
             raise SamplerError("dual left the unit l-inf ball")
-        state.w = w_new
+        state.w = w_new.copy()    # not a view that keeps v alive too
         return self.prior.denoise(v, t)
 
     def _dds_estimate(self, state, t):
@@ -340,6 +360,7 @@ class Sampler:
 
     def step(self, state, t, t_next):
         """Clean estimate at t, SamplerError unless finite, then resample to t_next."""
+        state.x0 = None
         x0 = self._estimate(state, t)
         bad = np.count_nonzero(~np.isfinite(x0))
         if bad:
@@ -378,6 +399,7 @@ class Sampler:
                     wall_ms=wall_ms,
                 )
             )
+            del x0    # not held while the next estimate is computed
         return state.x0, traces
 
 

@@ -1,6 +1,5 @@
 """Gaussian-mixture scalar prior: posterior mean, limits, derivative."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,7 +329,7 @@ def test_calls_leave_prior_attributes_unchanged():
     assert all(np.array_equal(vars(prior)[key], value) for key, value in snapshot.items())
 
 
-def test_fused_call_allocation_peak():
+def test_fused_call_allocation_peak(peak_traced_bytes):
     # The outputs take 1 MB at 16x64x64; the tile scratch adds about 1 MB
     # for four components, where full (K, N) temporaries took 9 MB.  The
     # first call at a new t (501) also builds its 0.5 MB table through the
@@ -339,12 +338,7 @@ def test_fused_call_allocation_peak():
     x = 0.6 * Xoshiro256PP(15).normal_array((16, 64, 64)) + 0.3
     prior.denoise_and_vjp(x, 500)
     for t in (500, 501):
-        tracemalloc.start()
-        try:
-            prior.denoise_and_vjp(x, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_traced_bytes(lambda: prior.denoise_and_vjp(x, t))
         assert peak < 3_000_000, (t, peak)
 
 

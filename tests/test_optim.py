@@ -13,6 +13,7 @@ from nerdct import (
     project_linf_ball,
     soft_threshold,
 )
+from nerdct.optim import ADAM_TILE
 from nerdct.rng import Xoshiro256PP
 from exact_inner import cg_oracle
 
@@ -69,28 +70,44 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 def test_adam_in_place_matches_out_of_place_formulas():
-    # The moments are updated in place; the iterates must keep the bits of
-    # the out-of-place recursion, and the input iterate (here a stacked
-    # pair the caller holds views of) must never be written.
-    lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
-    rng = Xoshiro256PP(5)
-    state = AdamState(lr=lr)
-    x = np.stack([rng.normal_array((3, 4, 5)), rng.normal_array((3, 4, 5))])
-    ref, m, v = x.copy(), np.zeros_like(x), np.zeros_like(x)
-    for t in range(1, 41):
-        g = t * rng.normal_array(x.shape)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        held = x.copy()
-        first, second = x
-        new = adam_step(state, x, g)
-        assert np.array_equal(x, held)
-        assert np.array_equal(first, held[0]) and np.array_equal(second, held[1])
-        assert not np.shares_memory(new, x)
-        x = new
-        assert np.array_equal(x, ref)
-    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    # The moments are updated in place, tile by tile; the iterates must keep
+    # the bits of the out-of-place recursion, and the input iterate (here a
+    # stacked pair the caller holds views of) must never be written.  The
+    # second pair spans several tiles and ends in a ragged one.
+    for shape in [(3, 4, 5), (16, 40, 41)]:
+        lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
+        rng = Xoshiro256PP(5)
+        state = AdamState(lr=lr)
+        x = np.stack([rng.normal_array(shape), rng.normal_array(shape)])
+        ref, m, v = x.copy(), np.zeros_like(x), np.zeros_like(x)
+        for t in range(1, 41):
+            g = t * rng.normal_array(x.shape)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            held = x.copy()
+            first, second = x
+            new = adam_step(state, x, g)
+            assert np.array_equal(x, held)
+            assert np.array_equal(first, held[0]) and np.array_equal(second, held[1])
+            assert not np.shares_memory(new, x)
+            x = new
+            assert np.array_equal(x, ref), shape
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+def test_adam_step_allocates_the_new_iterate_and_one_tile(peak_traced_bytes):
+    # Beyond the returned iterate, a warm step holds only its tile scratch
+    # and a few small Python objects; full-size temporaries held two more
+    # iterates.
+    rng = Xoshiro256PP(6)
+    x = rng.normal_array((2, 16, 64, 64))
+    grad = rng.normal_array(x.shape)
+    state = AdamState(lr=0.01)
+    x = adam_step(state, x, grad)
+    peak, new = peak_traced_bytes(lambda: adam_step(state, x, grad))
+    assert new.nbytes == x.nbytes
+    assert peak <= x.nbytes + ADAM_TILE * x.itemsize + 4096, peak / x.nbytes
 
 
 def test_adam_nonfinite_gradient_leaves_state_untouched():

@@ -1,7 +1,5 @@
 """3D Shepp-Logan phantom geometry checks."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -153,12 +151,7 @@ def test_ellipsoid_refuses_bad_values(field, kwargs):
         Ellipsoid(**{**fields, **kwargs})
 
 
-def test_peak_memory_is_a_few_volumes():
+def test_peak_memory_is_a_few_volumes(peak_traced_bytes):
     shepp_logan_3d(64, 64, 32)
-    tracemalloc.start()
-    try:
-        vol = shepp_logan_3d(64, 64, 32)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, vol = peak_traced_bytes(lambda: shepp_logan_3d(64, 64, 32))
     assert peak <= 3 * vol.nbytes, peak / vol.nbytes

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -131,18 +130,13 @@ def test_csr_build_bytes_equal_scipy(monkeypatch, geom, views, hits):
         assert len(rows) == op._matrix.data.size == 0
 
 
-def test_full_view_build_allocation_peak():
+def test_full_view_build_allocation_peak(peak_traced_bytes):
     # The full-view 64x64 build samples 2.95 M triplets.  Its index and
     # weight arrays are allocated once (12 bytes a triplet) and take each
     # view's block as it is made: the build peaks near 37 MB.  Keeping every
     # block until one final concatenate and trimmed copy peaked near 60 MB.
     geom = default_geometry(64, 180)
-    tracemalloc.start()
-    try:
-        matrix = radon._ray_matrix(64, 64, geom, np.arange(180))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, matrix = peak_traced_bytes(lambda: radon._ray_matrix(64, 64, geom, np.arange(180)))
     assert matrix.data.size == 1_640_308
     assert peak < 45_000_000, peak
 

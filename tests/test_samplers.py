@@ -131,6 +131,27 @@ def test_run_and_step_return_c_contiguous_volumes(method):
         assert vol.flags.c_contiguous
 
 
+# Warm-run traced peaks read 7.67, 10.67, 15.67 and 13.49 volumes; each
+# bound sits about half a volume above its reading.
+PEAK_VOLUMES = {"sitcom": 8.2, "nerd-a": 11.2, "nerd-p": 16.2, "dds": 14.0}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_peak_memory(method, peak_traced_bytes):
+    # The volume is the unit of a run's memory: a step holds its state,
+    # the Adam moments and the gradient, and each temporary it has not yet
+    # released.  The peak of a warm run (the prior's tables built) is read
+    # in volumes of the 64x64x32 problem.
+    nx, nz = 64, 32
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=3)
+    op = CTOperator(nx, nx, nz, default_geometry(nx, 180), uniform_view_indices(180, 8))
+    y = op.forward(shepp_logan_3d(nx, nx, nz))
+    sampler = Sampler(config(method, n_steps=3), op, y, gmm_prior(sched), sched)
+    sampler.run()
+    peak, (x0, _) = peak_traced_bytes(sampler.run)
+    assert peak / x0.nbytes <= PEAK_VOLUMES[method], peak / x0.nbytes
+
+
 def test_single_step_single_trace():
     op, _, y = small_problem()
     cfg = config("nerd-p", n_steps=1)
