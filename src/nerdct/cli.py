@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Commands: generate-phantom, simulate, reconstruct, evaluate, train-denoiser.
-Each reads a flat key-value config file (--config), applies --set overrides,
-and writes its outputs next to the configured paths.  Exit codes: 0 on
-success, 1 for usage/config errors, 2 for runtime or numeric failures,
-floating-point overflow, division by zero and invalid operations included.
+Every run setting is a config key, set by a --config file line or by --set
+key=value (repeatable; it beats the file).  Exit codes: 0 on success, 1 for
+usage/config errors, 2 for runtime or numeric failures, floating-point
+overflow, division by zero and invalid operations included.
 """
 
 import argparse
@@ -47,12 +47,6 @@ def _load_config(args):
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.out is not None:
-        overrides[COMMANDS[args.command][1]] = args.out
     return build_run_config(file_values, overrides)
 
 
@@ -162,13 +156,12 @@ def cmd_train_denoiser(cfg):
     return 0
 
 
-# name: (handler, config path that --out targets)
 COMMANDS = {
-    "generate-phantom": (cmd_generate_phantom, "volume_path"),
-    "simulate": (cmd_simulate, "sinogram_path"),
-    "reconstruct": (cmd_reconstruct, "recon_path"),
-    "evaluate": (cmd_evaluate, "report_path"),
-    "train-denoiser": (cmd_train_denoiser, "weights_path"),
+    "generate-phantom": cmd_generate_phantom,
+    "simulate": cmd_simulate,
+    "reconstruct": cmd_reconstruct,
+    "evaluate": cmd_evaluate,
+    "train-denoiser": cmd_train_denoiser,
 }
 
 
@@ -176,9 +169,6 @@ def main(argv=None):
     parser = _Parser(prog="nerdct", description=__doc__)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--method", help="sampler method override")
-    parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--out", help="output path override for this command")
     parser.add_argument(
         "--set",
         action="append",
@@ -189,7 +179,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _load_config(args)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return COMMANDS[args.command][0](cfg)
+            return COMMANDS[args.command](cfg)
     except (SamplerError, NonFiniteGradientError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

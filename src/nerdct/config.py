@@ -3,12 +3,11 @@
 Config files are plain text: one ``key = value`` per line, ``#`` comments
 and blank lines ignored.  Every key has a typed default: the sampler keys
 in ``SamplerConfig``, the run keys below, and its type is the field's
-annotation; a key whose default is None reads ``none``, ``auto`` or an
-empty value as None.  Unknown keys are rejected.
-``lambda``, ``lambda_z`` and ``lambda_couple`` are accepted as aliases for
-the lam* fields.  The builders at the end wire a RunConfig into geometry,
-schedule, operator and prior; validation runs the geometry and schedule
-builders and the view selection.  Every rule raises ValueError.
+annotation; a key whose default is None reads ``auto`` as None.  Each key
+has one name, and unknown keys are rejected.  The builders at the end wire
+a RunConfig into geometry, schedule, operator and prior; validation runs
+the geometry and schedule builders and the view selection.  Every rule
+raises ValueError.
 """
 
 from dataclasses import dataclass, fields
@@ -30,7 +29,7 @@ class RunConfig(SamplerConfig):
     nz: int = 32
     n_angles_full: int = 180
     n_views: int = 8
-    n_detectors: int = None        # default: ceil(sqrt(2) * nx)
+    n_detectors: int = None        # auto: ceil(sqrt(2) * nx)
     detector_spacing: float = 1.0
     sigma_y: float = 0.1           # measurement noise std (variance 0.01)
     # diffusion schedule
@@ -80,18 +79,12 @@ class RunConfig(SamplerConfig):
         return self
 
 
-_ALIASES = {
-    "lambda": "lam",
-    "lambda_z": "lam_z",
-    "lambda_couple": "lam_couple",
-}
-
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(name, text, target_type):
     text = text.strip()
-    if getattr(RunConfig, name) is None and text.lower() in ("", "none", "auto"):
+    if getattr(RunConfig, name) is None and text == "auto":
         return None
     try:
         return target_type(text)
@@ -117,12 +110,8 @@ def parse_config_text(text):
 
 def build_run_config(file_values, overrides):
     """Typed RunConfig from file values plus --set overrides (later wins)."""
-    merged = {}
-    for source in (file_values, overrides):
-        for key, value in source.items():
-            merged[_ALIASES.get(key, key)] = value
     cfg = RunConfig()
-    for key, text in merged.items():
+    for key, text in {**file_values, **overrides}.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, str(text), _FIELD_TYPES[key]))

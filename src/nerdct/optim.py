@@ -87,7 +87,11 @@ def soft_threshold(v, kappa):
     """prox of kappa*|.|: sign(v) * max(|v| - kappa, 0)."""
     if not kappa >= 0:
         raise ValueError(f"threshold must be >= 0, got {kappa}")
-    return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
+    out = np.abs(v)
+    out -= kappa
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def project_linf_ball(u):

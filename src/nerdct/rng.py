@@ -153,8 +153,10 @@ class Xoshiro256PP:
     """xoshiro256++ stream seeded through splitmix64."""
 
     def __init__(self, seed):
-        if not isinstance(seed, (int, np.integer)):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self._s = tuple(splitmix64_stream(int(seed), 4))
 
     def _words(self, count):

@@ -477,8 +477,8 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     def chain():
         assert main(["generate-phantom"] + args) == 0
-        assert main(["simulate", "--seed", "4"] + args) == 0
-        assert main(["reconstruct", "--seed", "4"] + args) == 0
+        assert main(["simulate", "--set", "seed=4"] + args) == 0
+        assert main(["reconstruct", "--set", "seed=4"] + args) == 0
         assert main(["evaluate"] + args) == 0
         assert main(["train-denoiser"] + args) == 0
         names = ("vol.f64", "sino.f64", "recon.f64", "report.json", "weights.f64")

@@ -37,8 +37,9 @@ def paths_args(tmp_path):
 def run_pipeline(tmp_path, method="nerd-p", seed=0, extra=()):
     args = BASE + paths_args(tmp_path) + list(extra)
     assert main(["generate-phantom"] + args) == 0
-    assert main(["simulate", "--seed", str(seed)] + args) == 0
-    assert main(["reconstruct", "--method", method, "--seed", str(seed)] + args) == 0
+    assert main(["simulate", "--set", f"seed={seed}"] + args) == 0
+    assert main(["reconstruct", "--set", f"method={method}", "--set", f"seed={seed}"]
+                + args) == 0
     assert main(["evaluate"] + args) == 0
 
 
@@ -60,12 +61,12 @@ def test_full_pipeline_writes_all_artifacts(tmp_path):
 
 
 def test_reconstruction_records_its_own_config_not_evaluates(tmp_path):
-    # A plain evaluate after `reconstruct --method dds --seed 7` runs with the
-    # default method and seed; neither may be reported as the run's.
+    # A plain evaluate after `reconstruct --set method=dds --set seed=7` runs
+    # with the default method and seed; neither may be reported as the run's.
     args = BASE + paths_args(tmp_path)
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
-    assert main(["reconstruct", "--method", "dds", "--seed", "7"] + args) == 0
+    assert main(["reconstruct", "--set", "method=dds", "--set", "seed=7"] + args) == 0
     assert main(["evaluate"] + args) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {"data_range", "views"}
@@ -83,7 +84,7 @@ def test_all_methods_run(tmp_path):
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
     for method in ("sitcom", "nerd-a", "nerd-p", "dds"):
-        assert main(["reconstruct", "--method", method] + args) == 0
+        assert main(["reconstruct", "--set", f"method={method}"] + args) == 0
         vol, meta = load_volume(str(tmp_path / "recon.f64"))
         assert vol.shape == (12, 16, 16)
         assert meta["provenance"]["generator"] == f"reconstruct:{method}"
@@ -95,7 +96,7 @@ def test_reconstruct_deterministic_bytes(tmp_path):
     trace1 = (tmp_path / "trace.csv").read_text()
     report1 = (tmp_path / "report.json").read_bytes()
     args = BASE + paths_args(tmp_path)
-    assert main(["reconstruct", "--seed", "3"] + args) == 0
+    assert main(["reconstruct", "--set", "seed=3"] + args) == 0
     assert main(["evaluate"] + args) == 0
     assert (tmp_path / "recon.f64").read_bytes() == recon1
     assert (tmp_path / "report.json").read_bytes() == report1
@@ -113,7 +114,7 @@ def test_different_seed_changes_reconstruction(tmp_path):
     run_pipeline(tmp_path, seed=0)
     first = (tmp_path / "recon.f64").read_bytes()
     args = BASE + paths_args(tmp_path)
-    assert main(["reconstruct", "--seed", "9"] + args) == 0
+    assert main(["reconstruct", "--set", "seed=9"] + args) == 0
     assert (tmp_path / "recon.f64").read_bytes() != first
 
 
@@ -145,7 +146,7 @@ def test_phantom_of_another_shape_is_not_ground_truth(tmp_path):
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
     assert main(["generate-phantom"] + args + ["--set", "nz=8"]) == 0
-    assert main(["reconstruct", "--method", "dds"] + args) == 0
+    assert main(["reconstruct", "--set", "method=dds"] + args) == 0
     rows = (tmp_path / "trace.csv").read_text().strip().split("\n")[1:]
     assert [row.split(",")[4] for row in rows] == ["nan"] * 3
 
@@ -155,10 +156,11 @@ def test_unknown_command_usage_error():
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    # The last four were sampler keys once; their work moved to lam_z, rho,
-    # cg_max_iter and nerd-p's one extrapolation.
+    # The next four were sampler keys once; their work moved to lam_z, rho,
+    # cg_max_iter and nerd-p's one extrapolation.  The last three were
+    # second names of lam, lam_z and lam_couple.
     for key in ("does_not_exist", "dds_gamma", "dds_rho", "cg_tol",
-                "pdhg_extrapolation"):
+                "pdhg_extrapolation", "lambda", "lambda_z", "lambda_couple"):
         args = paths_args(tmp_path) + ["--set", f"{key}=1"]
         assert main(["generate-phantom"] + args) == 1, key
         assert f"unknown config key {key!r}" in capsys.readouterr().err
@@ -169,7 +171,7 @@ def test_bad_method_rejected(tmp_path):
     args = BASE + paths_args(tmp_path)
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
-    assert main(["reconstruct", "--method", "magic"] + args) == 1
+    assert main(["reconstruct", "--set", "method=magic"] + args) == 1
 
 
 def test_missing_input_files(tmp_path):
@@ -198,7 +200,7 @@ def test_non_finite_sinogram_exit_1(tmp_path, capsys, method):
     args = BASE + paths_args(tmp_path)
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
-    target, run = "sino.f64", ["--method", method]
+    target, run = "sino.f64", ["--set", f"method={method}"]
     if method == "conv-weights":
         assert main(["train-denoiser", "--set", "epochs=0"] + args) == 0
         target, run = "weights.f64", ["--set", "prior=conv"]
@@ -293,21 +295,35 @@ def test_config_file_and_overrides(tmp_path):
     )
     assert main(["generate-phantom", "--config", str(cfg_file)]) == 0
     assert main(["simulate", "--config", str(cfg_file)]) == 0
-    # --set beats the file; lambda alias maps onto lam.
+    # --set beats the file.
     assert main([
         "reconstruct", "--config", str(cfg_file),
-        "--set", "lambda=0.2", "--set", "n_steps=3",
+        "--set", "lam=0.2", "--set", "n_steps=3",
     ]) == 0
     rows = (tmp_path / "t.csv").read_text().strip().split("\n")
     assert len(rows) == 4
 
 
-def test_out_flag_overrides_target_path(tmp_path):
+def test_removed_shortcut_flags_exit_1(tmp_path, capsys):
+    # --method, --seed and --out were second ways to set the method, seed
+    # and output path keys; --set is the one way now.
     args = BASE + paths_args(tmp_path)
+    assert main(["generate-phantom"] + args) == 0
+    assert main(["simulate"] + args) == 0
+    capsys.readouterr()
+    for flags in (["--method", "dds"], ["--seed", "3"]):
+        assert main(["reconstruct"] + flags + args) == 1, flags
+        assert "unrecognized arguments" in capsys.readouterr().err, flags
+        assert not (tmp_path / "recon.f64").exists(), flags
     out = tmp_path / "elsewhere.f64"
-    assert main(["generate-phantom", "--out", str(out)] + args) == 0
-    assert out.exists()
-    assert not (tmp_path / "phantom.f64").exists()
+    assert main(["generate-phantom", "--out", str(out)] + args) == 1
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.split() == ["usage:", "nerdct", "[-h]", "[--config", "CONFIG]",
+                             "[--set", "KEY=VALUE]", "{generate-phantom,simulate,"
+                             "reconstruct,evaluate,train-denoiser}"]
 
 
 def test_missing_config_file():
@@ -544,7 +560,7 @@ def test_non_finite_clean_estimate_is_a_numeric_failure(tmp_path, capsys):
     for command in ("generate-phantom", "simulate"):
         assert main([command] + args) == 0
     capsys.readouterr()
-    assert main(["reconstruct", "--method", "sitcom"] + args) == 2
+    assert main(["reconstruct", "--set", "method=sitcom"] + args) == 2
     assert "numeric failure: sitcom estimate at t=1000" in capsys.readouterr().err
     assert not (tmp_path / "recon.f64").exists()
 
@@ -559,12 +575,18 @@ def test_parse_config_text():
 
 
 def test_build_run_config_aliases_and_types():
-    cfg = build_run_config({}, {"lambda": "0.25", "lambda_z": "0.1", "n_steps": "12"})
+    # Each key has one name and an unset n_detectors one spelling, auto.
+    cfg = build_run_config({}, {"lam": "0.25", "lam_z": "0.1", "n_steps": "12"})
     assert cfg.lam == 0.25
     assert cfg.lam_z == 0.1
     assert cfg.n_steps == 12
-    for text in ("auto", "none", ""):
-        assert build_run_config({}, {"n_detectors": text}).n_detectors is None
+    for alias in ("lambda", "lambda_z", "lambda_couple"):
+        with pytest.raises(ValueError, match=f"unknown config key {alias!r}"):
+            build_run_config({}, {alias: "0.25"})
+    assert build_run_config({}, {"n_detectors": "auto"}).n_detectors is None
+    for text in ("none", "", "AUTO"):
+        with pytest.raises(ValueError, match="config key 'n_detectors': cannot parse"):
+            build_run_config({}, {"n_detectors": text})
     assert build_run_config({}, {"n_detectors": "23"}).n_detectors == 23
 
 

@@ -391,6 +391,29 @@ def test_one_voxel_out_of_range_takes_the_exact_pass(value):
     assert value_is_fused(prior, x, 500)
 
 
+# The benchmark's mixture: at t = 3..7 its tables miss the exact pass by
+# 1.00-1.16e-7 at a cell midpoint.
+BENCH_WEIGHTS = [0.7604, 0.1987, 0.0109, 0.0301]
+BENCH_MIXTURE = ([w / sum(BENCH_WEIGHTS) for w in BENCH_WEIGHTS],
+                 [0.0, 0.2, 0.3, 1.0], [0.05] * 4)
+
+
+def test_kept_tables_meet_the_midpoint_bound():
+    # The bound is a literal here, so a looser _TABLE_TOL, which would keep
+    # the tables at t = 3..7, fails.
+    prior, _ = make_prior(*BENCH_MIXTURE)
+    nodes = np.arange(priors._TABLE_CELLS + 1) * priors._TABLE_STEP - priors._TABLE_EDGE
+    midpoints = nodes[:-1] + 0.5 * priors._TABLE_STEP
+    kept = []
+    for t in range(1, 11):
+        coef = table_for(prior, t)
+        if coef is not None:
+            kept.append(t)
+            error = priors._table_pass(coef, midpoints)[0] - exact_outputs(prior, midpoints, t)[0]
+            assert np.max(np.abs(error)) <= 1e-7, t
+    assert kept
+
+
 def test_mixture_mutated_in_place_gets_a_fresh_table():
     prior, _ = make_prior(*BENCH_LIKE)
     x = 0.6 * Xoshiro256PP(18).normal_array((4, 5, 6)) + 0.3

@@ -272,8 +272,12 @@ def test_negative_counts_raise(draw):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Xoshiro256PP("1"), TypeError, "seed must be an integer"),
+    # These three used to alias seeds 1, 2**64 - 1 and 3.
+    (lambda: Xoshiro256PP(True), TypeError, "seed must be an integer, got bool"),
+    (lambda: Xoshiro256PP(-1), ValueError, r"seed must be in \[0, 2\*\*64\)"),
+    (lambda: Xoshiro256PP(2**64 + 3), ValueError, r"seed must be in \[0, 2\*\*64\)"),
     (lambda: Xoshiro256PP(0).integers(5, 1, 3), ValueError, "empty range"),
-], ids=["str-seed", "empty-range"])
+], ids=["str-seed", "bool-seed", "negative-seed", "seed-past-2**64", "empty-range"])
 def test_rng_rejects_bad_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
