@@ -49,8 +49,12 @@ _MAX_LANES = 256
 
 
 def splitmix64_stream(seed, count):
-    """First `count` splitmix64 outputs for the given 64-bit seed."""
-    state = seed & _MASK64
+    """First `count` splitmix64 outputs; a seed outside [0, 2**64) is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    state = int(seed)
     out = []
     for _ in range(count):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -153,11 +157,7 @@ class Xoshiro256PP:
     """xoshiro256++ stream seeded through splitmix64."""
 
     def __init__(self, seed):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        self._s = tuple(splitmix64_stream(int(seed), 4))
+        self._s = tuple(splitmix64_stream(seed, 4))
 
     def _words(self, count):
         _check_count(count)

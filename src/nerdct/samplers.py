@@ -13,8 +13,9 @@ obtained:
 * nerd-p: a primal-dual treatment of the slice-axis l1 term.  The dual u
   lives in the unit l-inf ball; the l1 weight lam_z is folded into the
   coupling operator (lam_z * Dz) so the projection stays onto the unit
-  ball.  The primal pair (v, w) takes K joint Adam updates; u is reused
-  across steps.
+  ball.  The primal step alternates K Adam updates on v, split over
+  PDHG_ROUNDS rounds, with PDHG_CG_STEPS CG steps on the quadratic w block
+  after each round; u is reused across steps.
 * dds: plain posterior-mean denoising followed by a few ADMM iterations on
   ||A x - y||^2 + lam_z ||Dz x||_1 with penalty rho, whose x-update runs a
   fixed number of CG steps (Chung, Lee & Ye, arXiv 2303.05754).
@@ -41,6 +42,10 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("sitcom", "nerd-a", "nerd-p", "dds")
 
+#: nerd-p's primal step: rounds of Adam on v, each then CG steps on w.
+PDHG_ROUNDS = 2
+PDHG_CG_STEPS = 5
+
 
 class SamplerError(RuntimeError):
     """Non-finite inner objective or broken solver state."""
@@ -56,7 +61,7 @@ class SamplerConfig:
     tau: float = 0.01           # primal step (nerd-p)
     sigma: float = 0.05         # dual step (nerd-p)
     n_steps: int = 30           # sampling steps N
-    inner_steps: int = 10       # Adam updates K per step
+    inner_steps: int = 10       # Adam updates K on v per step
     lr: float = 1e-3
     seed: int = 0
     dds_admm_iters: int = 5
@@ -148,7 +153,7 @@ class Sampler:
                                "tau*sigma*lam_z^2*||Dz||^2 = %g >= 1", step_product)
         self.config = config
         self.op = operator
-        self.y = y
+        self.y = np.ascontiguousarray(y, dtype=np.float64)    # the column products' layout
         self.prior = prior
         self.schedule = schedule
         self.ground_truth = ground_truth
@@ -186,40 +191,41 @@ class Sampler:
         """
         eta = self.rng.normal_array(self.volume_shape)
         a = self.schedule.alpha_bar[t_next]
-        return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eta
+        eta *= np.sqrt(1.0 - a)
+        eta += np.sqrt(a) * x0
+        return eta
 
     # ------------------------------------------------- inner optimization
 
-    def _optimize(self, x_t, t, blocks, terms, what):
-        """K Adam updates on the stacked `blocks`, whose first block is v.
+    def _optimize(self, adam, steps, v, x_t, t, terms, what):
+        """`steps` Adam updates on v that continue `adam`.
 
-        `terms(blocks)` returns the method's objective and its gradient,
+        `terms(v)` returns the method's objective and its gradient in v,
         (loss, grad); the anchor lam ||v - x_t||^2 is added to both last.
-        Returns the final blocks and the loss before each update.
+        Returns the final v and the loss before each update.
 
         Here and in each `terms`, a volume-sized temporary is scaled in
         place and deleted once read, so that it is gone before the next
         volume is made: the step's peak memory counts every one still held.
         """
-        cfg = self.config
-        adam = AdamState(lr=cfg.lr)
+        lam = self.config.lam
         losses = []
-        for _ in range(cfg.inner_steps):
-            loss, grad = terms(blocks)
-            if cfg.lam != 0.0:
-                anchor = blocks[0] - x_t
-                loss += cfg.lam * l2_norm_sq(anchor)
-                anchor *= 2.0 * cfg.lam
-                grad[0] += anchor
+        for _ in range(steps):
+            loss, grad = terms(v)
+            if lam != 0.0:
+                anchor = v - x_t
+                loss += lam * l2_norm_sq(anchor)
+                anchor *= 2.0 * lam
+                grad += anchor
                 del anchor
             if not np.isfinite(loss):
                 raise SamplerError(
                     f"non-finite inner objective ({loss}) in {what} at t={t}"
                 )
             losses.append(loss)
-            blocks = adam_step(adam, blocks, grad)
+            v = adam_step(adam, v, grad)
             del grad
-        return blocks, losses
+        return v, losses
 
     def _split_update(self, x, z, w):
         """ADMM z- and scaled dual step on the split z = Dz x; returns (z, w)."""
@@ -239,8 +245,8 @@ class Sampler:
         4. w <- w + Dz x0 - z.
         With rho = 0 the penalty and steps 3-4 drop out, which is sitcom.
         """
-        def terms(blocks):
-            x0, vjp = self.prior.denoise_and_vjp(blocks[0], t)
+        def terms(v):
+            x0, vjp = self.prior.denoise_and_vjp(v, t)
             resid = self.op.forward(x0) - self.y
             gap = dz_forward(x0) if self.rho != 0.0 else None
             del x0
@@ -255,10 +261,11 @@ class Sampler:
                 gap *= self.rho
                 cot += gap
                 del gap
-            return loss, vjp(cot)[None]
+            return loss, vjp(cot)
 
-        (v,), state.inner_losses = self._optimize(
-            state.x, t, state.x[None], terms, "input optimization")
+        v, state.inner_losses = self._optimize(
+            AdamState(lr=self.config.lr), self.config.inner_steps, state.x, state.x, t,
+            terms, "input optimization")
         x0 = self.prior.denoise(v, t)
         if self.rho != 0.0:
             state.z, state.w_dual = self._split_update(x0, state.z, state.w_dual)
@@ -267,46 +274,85 @@ class Sampler:
     def _pdhg_estimate(self, state, t):
         """nerd-p: primal-dual step with the coupling operator lam_z * Dz.
 
-        The primal update starts from the current w ("w_bar <- w_t"), and
-        the dual ascent reads the extrapolated point 2 w_new - w.  The pair
-        (v, w) is optimized from (x_t, w_hat) on ||A w - y||^2 + lam ||v - x_t||^2
-        + ||w - w_hat||^2 / (2 tau) + lam_couple ||f(v) - w||^2.
+        `_primal_step` lowers ||A w - y||^2 + lam ||v - x_t||^2 + lam_couple
+        ||f(v) - w||^2 + ||w - w_hat||^2 / (2 tau) from (x_t, w_hat), where
+        w_hat = w - tau lam_z Dz^T u; the dual ascent reads 2 w_new - w.  For
+        a fixed v the w block solves (A^T A + s I) w = A^T y + w_hat / (2 tau)
+        + lam_couple f(v), s = 1/(2 tau) + lam_couple: `apply_op` and `rhs`
+        are that system over s in columns; the rhs is made anew each round,
+        so neither A^T y nor w_hat is held through CG.  f and its VJP are
+        taken once per v, so a round's last pair serves the rhs, the next
+        round's first Adam update and the returned x0.
         """
-        cfg = self.config
-        w_hat = state.w - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
-        grad = np.empty((2,) + self.volume_shape)
+        cfg, op, nz = self.config, self.op, self.op.nz
+        inv_shift = 1.0 / (0.5 / cfg.tau + cfg.lam_couple)
+        normal_buf = np.empty(op.columns_shape)
+        latest = (None,)    # (v, f(v), vjp) at the last v the prior saw
 
-        def terms(blocks):
-            v, w = blocks
-            grad_v, grad_w = grad
-            resid = self.op.forward(w) - self.y
-            np.multiply(2.0, self.op.adjoint(resid), out=grad_w)
-            w_gap = w - w_hat
-            loss = l2_norm_sq(resid) + 0.5 / cfg.tau * l2_norm_sq(w_gap)
-            w_gap /= cfg.tau
-            grad_w += w_gap
-            del w_gap
-            x0, vjp = self.prior.denoise_and_vjp(v, t)
+        def w_hat():
+            return state.w - cfg.tau * cfg.lam_z * dz_adjoint(state.u)
+
+        def prior_at(v):
+            nonlocal latest
+            if latest[0] is not v:
+                latest = None    # the stale pair goes before the new one is made
+                latest = (v, *self.prior.denoise_and_vjp(v, t))
+            return latest[1:]
+
+        def coupling(v, w):
+            x0, vjp = prior_at(v)
             couple = x0 - w
-            del x0
-            loss += cfg.lam_couple * l2_norm_sq(couple)
-            np.multiply(2.0 * cfg.lam_couple, vjp(couple), out=grad_v)
+            loss = cfg.lam_couple * l2_norm_sq(couple)
             couple *= 2.0 * cfg.lam_couple
-            grad_w -= couple
-            return loss, grad
+            return loss, vjp(couple)
 
-        # The stacked start is passed, not named, so that no local holds it
-        # past the first update.
-        (v, w_new), state.inner_losses = self._optimize(
-            state.x, t, np.stack([state.x, w_hat]), terms, "joint optimization")
+        def apply_op(cols):
+            out = op.adjoint_columns(op.forward_columns(cols), normal_buf)
+            out *= inv_shift
+            out += cols
+            return out
+
+        def rhs(v):
+            out = op.adjoint_columns(self.y, np.empty(op.columns_shape))
+            extra = (0.5 / cfg.tau) * w_hat() + cfg.lam_couple * prior_at(v)[0]
+            out += extra.reshape(nz, -1).T
+            out *= inv_shift
+            return out
+
+        # The start is passed, not named, so that no local holds it past
+        # the first round.
+        v, w_new, state.inner_losses = self._primal_step(
+            state.x, t, np.ascontiguousarray(w_hat().reshape(nz, -1).T),
+            coupling, apply_op, rhs)
         w_bar = 2.0 * w_new - state.w
         state.u = project_linf_ball(
             state.u + cfg.sigma * cfg.lam_z * dz_forward(w_bar)
         )
         if not np.max(np.abs(state.u)) <= 1.0:
             raise SamplerError("dual left the unit l-inf ball")
-        state.w = w_new.copy()    # not a view that keeps v alive too
-        return self.prior.denoise(v, t)
+        state.w = w_new
+        return prior_at(v)[0]
+
+    def _primal_step(self, x_t, t, cols, coupling, apply_op, rhs):
+        """PDHG_ROUNDS rounds from v = x_t and w in (ny*nx, nz) `cols`, each of
+        its share of inner_steps Adam updates on lam ||v - x_t||^2 +
+        coupling(v, w), one AdamState for all, then PDHG_CG_STEPS CG steps
+        on apply_op(w) = rhs(v) from the last w; returns (v, w, losses)."""
+        cfg = self.config
+        adam = AdamState(lr=cfg.lr)
+        v, losses = x_t, []
+        for r in range(PDHG_ROUNDS):
+            steps = cfg.inner_steps // PDHG_ROUNDS + (r < cfg.inner_steps % PDHG_ROUNDS)
+            w = np.ascontiguousarray(cols.T).reshape(self.volume_shape)
+            v, round_losses = self._optimize(
+                adam, steps, v, x_t, t, lambda v: coupling(v, w), "v optimization")
+            del w    # not held through CG
+            losses += round_losses
+            result = cg_solve(apply_op, rhs(v), cols, PDHG_CG_STEPS)
+            if result.breakdown:
+                raise SamplerError("CG breakdown in nerd-p's w solve")
+            cols = result.x
+        return v, np.ascontiguousarray(cols.T).reshape(self.volume_shape), losses
 
     def _dds_estimate(self, state, t):
         """dds: denoise, then ADMM on ||A x - y||^2 + lam_z ||Dz x||_1.
@@ -326,8 +372,7 @@ class Sampler:
         """
         cfg, op, nz = self.config, self.op, self.op.nz
         half_rho = 0.5 * self.rho
-        aty = op.adjoint_columns(np.ascontiguousarray(self.y, dtype=np.float64),
-                                 np.empty(op.columns_shape))
+        aty = op.adjoint_columns(self.y, np.empty(op.columns_shape))
         normal_buf, dz_buf = np.empty((2,) + op.columns_shape)
         flat_out, flat_dz = normal_buf.ravel(), dz_buf.ravel()
 

@@ -230,11 +230,12 @@ def test_every_defaulted_parameter_is_left_out_by_a_caller():
     assert not overridden, f"defaults that every caller overrides: {overridden}"
 
 
-def test_one_function_runs_cg_solve():
-    # Every CG solve in the samplers is the one normal-equation solve.
+def test_two_functions_run_cg_solve():
+    # Every CG solve in the samplers is one of the two normal-equation
+    # solves: dds's x-update and nerd-p's w block.
     callers = set().union(*(calling_functions(p, "cg_solve")
                             for p in sorted(PACKAGE.glob("*.py"))))
-    assert len(callers) == 1, sorted(callers)
+    assert callers == {"samplers._dds_estimate", "samplers._primal_step"}, sorted(callers)
 
 
 def test_one_function_runs_each_sparse_product():

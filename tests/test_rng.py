@@ -281,3 +281,15 @@ def test_negative_counts_raise(draw):
 def test_rng_rejects_bad_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("seed, error", [
+    (True, TypeError), (-1, ValueError), (2**64, ValueError), (2**64 + 3, ValueError),
+    (1.0, TypeError),
+])
+def test_splitmix64_stream_refuses_seeds_it_would_alias(seed, error):
+    # Masking would give True the stream of 1, -1 that of 2**64 - 1 and
+    # 2**64 + 3 that of 3.
+    with pytest.raises(error, match="seed must be"):
+        splitmix64_stream(seed, 2)
+    assert splitmix64_stream(np.uint64(2**64 - 1), 2) == splitmix64_stream(2**64 - 1, 2)

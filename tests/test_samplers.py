@@ -31,9 +31,9 @@ from nerdct import (
     soft_threshold,
     uniform_view_indices,
 )
-from nerdct.optim import cg_solve, project_linf_ball
+from nerdct.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cg_solve, project_linf_ball
 from nerdct.rng import Xoshiro256PP
-from nerdct.samplers import METHODS, SamplerState
+from nerdct.samplers import METHODS, PDHG_CG_STEPS, PDHG_ROUNDS, SamplerState
 from exact_inner import cg_oracle, solve_inner_exactly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -420,6 +420,25 @@ def test_nerd_p_lam_z_zero_keeps_dual_silent():
         assert np.all(state.u == 0.0)
 
 
+def test_nerd_p_takes_one_prior_pair_per_v(monkeypatch):
+    # K Adam updates reach K + 1 iterates of v; the pair made at a round's
+    # end serves the CG rhs, the next round's first update and the estimate.
+    op, _, y = small_problem(noise=0.05)
+    prior = gmm_prior()
+    sampler = Sampler(config("nerd-p", inner_steps=5), op, y, prior, SCHED)
+    state = sampler.initialize()
+    calls = []
+    fused = prior.denoise_and_vjp
+    monkeypatch.setattr(prior, "denoise_and_vjp", lambda v, t: calls.append(t) or fused(v, t))
+    sampler.step(state, 500, 250)
+    assert calls == [500] * 6
+
+
+def test_nerd_p_cg_breakdown_on_nan_operator(monkeypatch):
+    # The w block's CG flags the NaN curvature as dds's does.
+    nan_forward_step(monkeypatch, "nerd-p", gmm_prior())
+
+
 def test_nerd_p_data_residual_improves():
     op, phantom, y = small_problem(noise=0.05)
     cfg = config("nerd-p", n_steps=8, inner_steps=10, lr=0.02)
@@ -773,6 +792,140 @@ def test_exact_joint_solve_without_anchor_or_coupling_keeps_input():
     assert np.all(np.isfinite(state.w))
 
 
+# ------------------------------------------------------ one-step oracles
+# One Sampler.step of each Adam-path method on a 6x6x4, 3-view problem,
+# against the docstring equations written out in dense NumPy: the operator
+# and Dz as matrices, the textbook Adam recursion and out-of-place CG.
+
+ORACLE_SHAPE = (4, 6, 6)
+ORACLE_T, ORACLE_T_NEXT = 500, 250
+
+
+def oracle_problem():
+    nz, ny, nx = ORACLE_SHAPE
+    op = CTOperator(nx, ny, nz, default_geometry(nx, 12), uniform_view_indices(12, 3))
+    truth = np.zeros(ORACLE_SHAPE)
+    truth[1:3, 2:5, 1:4] = 1.0
+    y = op.forward(truth) + 0.05 * Xoshiro256PP(31).normal_array(op.sinogram_shape)
+    return op, y, dense_operator_matrix(op), dense_dz_matrix_3d(ORACLE_SHAPE)
+
+
+def adam_reference(v, gradient, lr, steps, moments):
+    """`steps` textbook Adam updates from v that continue `moments` (m, s, k)."""
+    m, s, k = moments
+    for _ in range(steps):
+        g = gradient(v)
+        k += 1
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        s = ADAM_BETA2 * s + (1.0 - ADAM_BETA2) * g * g
+        v = v - lr * (m / (1.0 - ADAM_BETA1**k)) / (np.sqrt(s / (1.0 - ADAM_BETA2**k))
+                                                    + ADAM_EPS)
+    return v, (m, s, k)
+
+
+def renoise_reference(cfg, x0):
+    """x_{t_next} = sqrt(a) x0 + sqrt(1 - a) eta, eta the stream's first draw."""
+    a = SCHED.alpha_bar[ORACLE_T_NEXT]
+    eta = Xoshiro256PP(cfg.seed).normal_array(x0.shape)
+    return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eta
+
+
+def admm_reference(prior, amat, dmat, y, cfg, x_t, z, w):
+    """sitcom / nerd-a: Adam on ||A f(v) - y||^2 + lam ||v - x_t||^2
+    + (rho/2) ||Dz f(v) - z + w||^2, x0 = f(v), then the z and dual steps."""
+    rho = cfg.rho if cfg.method == "nerd-a" else 0.0
+
+    def gradient(v):
+        x0, vjp = prior.denoise_and_vjp(v, ORACLE_T)
+        cot = 2.0 * amat.T @ (amat @ x0.ravel() - y.ravel())
+        if rho:
+            cot = cot + rho * dmat.T @ (dmat @ x0.ravel() - z.ravel() + w.ravel())
+        return vjp(cot.reshape(v.shape)) + 2.0 * cfg.lam * (v - x_t)
+
+    zero = np.zeros_like(x_t)
+    v, _ = adam_reference(x_t, gradient, cfg.lr, cfg.inner_steps, (zero, zero, 0))
+    x0 = prior.denoise(v, ORACLE_T)
+    if rho:
+        target = (dmat @ x0.ravel() + w.ravel()).reshape(x0.shape)
+        z_new = np.sign(target) * np.maximum(np.abs(target) - cfg.lam_z / rho, 0.0)
+        w = w + (dmat @ x0.ravel()).reshape(x0.shape) - z_new
+        z = z_new
+    return x0, z, w
+
+
+def pdhg_reference(prior, amat, dmat, y, cfg, x_t, w, u):
+    """nerd-p: w_hat = w - tau lam_z Dz^T u; rounds of Adam on
+    lam ||v - x_t||^2 + lam' ||f(v) - w||^2, each followed by CG on
+    (A^T A + (1/(2 tau) + lam') I) w = A^T y + w_hat/(2 tau) + lam' f(v)
+    from the last w; then w_bar = 2 w_new - w and the projected dual ascent."""
+    n = x_t.size
+    w_hat = w.ravel() - cfg.tau * cfg.lam_z * dmat.T @ u.ravel()
+    hmat = amat.T @ amat + (0.5 / cfg.tau + cfg.lam_couple) * np.eye(n)
+    base = amat.T @ y.ravel() + w_hat / (2.0 * cfg.tau)
+    zero = np.zeros_like(x_t)
+    v, w_new, moments = x_t, w_hat, (zero, zero, 0)
+    for r in range(PDHG_ROUNDS):
+        def gradient(v):
+            x0, vjp = prior.denoise_and_vjp(v, ORACLE_T)
+            return (2.0 * cfg.lam_couple * vjp(x0 - w_new.reshape(x0.shape))
+                    + 2.0 * cfg.lam * (v - x_t))
+
+        steps = cfg.inner_steps // PDHG_ROUNDS + (r < cfg.inner_steps % PDHG_ROUNDS)
+        v, moments = adam_reference(v, gradient, cfg.lr, steps, moments)
+        rhs = base + cfg.lam_couple * prior.denoise(v, ORACLE_T).ravel()
+        w_new = cg_oracle(lambda d: hmat @ d, rhs, 0.0, PDHG_CG_STEPS, w_new).x
+    w_bar = 2.0 * w_new - w.ravel()
+    u = np.clip(u.ravel() + cfg.sigma * cfg.lam_z * dmat @ w_bar, -1.0, 1.0)
+    return prior.denoise(v, ORACLE_T), w_new.reshape(x_t.shape), u.reshape(x_t.shape)
+
+
+def assert_close(got, expected, name):
+    assert np.max(np.abs(got - expected)) <= 1e-12, (name, np.max(np.abs(got - expected)))
+
+
+ORACLE_PRIORS = pytest.mark.parametrize(
+    "prior", [IdentityPrior(), gmm_prior()], ids=["identity", "gmm"])
+
+
+@ORACLE_PRIORS
+@pytest.mark.parametrize("method", ["sitcom", "nerd-a"])
+def test_admm_step_matches_dense_reference(method, prior):
+    # Covers the anchor, the split update with its dual step, and the re-noise.
+    op, y, amat, dmat = oracle_problem()
+    cfg = config(method, lam=0.5, lam_z=0.1, rho=2.0, inner_steps=4, lr=0.02, seed=3)
+    rng = Xoshiro256PP(41)
+    x_t, z, w = (rng.normal_array(ORACLE_SHAPE) * scale for scale in (1.0, 0.1, 0.1))
+    x0, z_new, w_new = admm_reference(prior, amat, dmat, y, cfg, x_t, z, w)
+    state = SamplerState(x=x_t.copy(), z=z.copy(), w_dual=w.copy())
+    got = Sampler(cfg, op, y, prior, SCHED).step(state, ORACLE_T, ORACLE_T_NEXT)
+    assert_close(got, x0, "x0")
+    assert_close(state.x, renoise_reference(cfg, x0), "x_next")
+    if method == "nerd-a":
+        assert np.count_nonzero(z_new) and np.count_nonzero(z_new == 0.0)
+        assert_close(state.z, z_new, "z")
+        assert_close(state.w_dual, w_new, "w_dual")
+
+
+@ORACLE_PRIORS
+def test_pdhg_step_matches_dense_reference(prior):
+    # Covers w_hat, the Adam rounds on v, the w block's CG, w_bar, the dual
+    # ascent and the re-noise; the ball binds on some entries, not all.
+    op, y, amat, dmat = oracle_problem()
+    cfg = config("nerd-p", lam=0.3, lam_z=0.3, lam_couple=0.7, tau=0.05, sigma=2.0,
+                 inner_steps=5, lr=0.02, seed=3)
+    rng = Xoshiro256PP(42)
+    x_t, w = rng.normal_array(ORACLE_SHAPE), 0.1 * rng.normal_array(ORACLE_SHAPE)
+    u = 0.9 * (2.0 * rng.uniforms(x_t.size).reshape(ORACLE_SHAPE) - 1.0)
+    x0, w_new, u_new = pdhg_reference(prior, amat, dmat, y, cfg, x_t, w, u)
+    assert np.count_nonzero(np.abs(u_new) == 1.0) and np.count_nonzero(np.abs(u_new) < 1.0)
+    state = SamplerState(x=x_t.copy(), w=w.copy(), u=u.copy())
+    got = Sampler(cfg, op, y, prior, SCHED).step(state, ORACLE_T, ORACLE_T_NEXT)
+    assert_close(got, x0, "x0")
+    assert_close(state.w, w_new, "w")
+    assert_close(state.u, u_new, "u")
+    assert_close(state.x, renoise_reference(cfg, x0), "x_next")
+
+
 # ----------------------------------------------------- inner gradients
 
 @pytest.mark.parametrize("method, kw", [
@@ -788,19 +941,21 @@ def test_inner_gradient_matches_finite_differences(method, kw):
     rng = Xoshiro256PP(21)
     slopes = []
 
-    def check_terms(x_t, t, blocks, terms, what):
-        direction = rng.normal_array(blocks.shape)
-        slope = float(np.vdot(terms(blocks)[1], direction))
+    def check_terms(adam, steps, v, x_t, t, terms, what):
+        direction = rng.normal_array(v.shape)
+        slope = float(np.vdot(terms(v)[1], direction))
         eps = 1e-5
-        central = (terms(blocks + eps * direction)[0]
-                   - terms(blocks - eps * direction)[0]) / (2.0 * eps)
+        central = (terms(v + eps * direction)[0]
+                   - terms(v - eps * direction)[0]) / (2.0 * eps)
         slopes.append((slope, central))
-        return blocks, []
+        return v, []
 
     sampler._optimize = check_terms
     sampler.step(sampler.initialize(), 500, 500)
-    (slope, central), = slopes
-    assert abs(slope - central) <= 1e-6 * abs(slope), (slope, central)
+    # nerd-p hands each of its rounds' v updates the coupling at that round's w.
+    assert len(slopes) == (PDHG_ROUNDS if method == "nerd-p" else 1)
+    for slope, central in slopes:
+        assert abs(slope - central) <= 1e-6 * abs(slope), (slope, central)
 
 
 # ------------------------------------------------------------ failures
