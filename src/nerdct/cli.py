@@ -56,19 +56,19 @@ def _require_file(path, what):
 
 
 def cmd_generate_phantom(cfg):
-    vol = shepp_logan_3d(cfg.nx, cfg.ny, cfg.nz)
+    vol = shepp_logan_3d(cfg.nx, cfg.nx, cfg.nz)
     save_volume(
         cfg.volume_path,
         vol,
         provenance={"generator": "shepp-logan-3d", "seed": cfg.seed},
     )
-    print(f"wrote {cfg.volume_path} ({cfg.nz}x{cfg.ny}x{cfg.nx})")
+    print(f"wrote {cfg.volume_path} ({cfg.nz}x{cfg.nx}x{cfg.nx})")
     return 0
 
 
 def cmd_simulate(cfg):
     _require_file(cfg.volume_path, "input volume")
-    vol, _ = load_volume(cfg.volume_path, {"nz": cfg.nz, "ny": cfg.ny, "nx": cfg.nx})
+    vol, _ = load_volume(cfg.volume_path, {"nz": cfg.nz, "ny": cfg.nx, "nx": cfg.nx})
     operator = build_operator(cfg)
     clean = operator.forward(vol)
     noisy = add_gaussian_noise(clean, cfg.sigma_y, cfg.seed)
@@ -96,7 +96,7 @@ def cmd_reconstruct(cfg):
     ground_truth = None
     if os.path.exists(cfg.volume_path):
         ground_truth, _ = load_volume(cfg.volume_path)
-        if ground_truth.shape != (cfg.nz, cfg.ny, cfg.nx):
+        if ground_truth.shape != (cfg.nz, cfg.nx, cfg.nx):
             ground_truth = None
     sampler = Sampler(cfg, operator, y, prior, schedule, ground_truth)
     recon, traces = sampler.run()
@@ -125,7 +125,7 @@ def cmd_evaluate(cfg):
     _require_file(cfg.volume_path, "reference volume")
     recon, _ = load_volume(cfg.recon_path)
     reference, _ = load_volume(cfg.volume_path, dict(zip(VOLUME_KEYS, recon.shape)))
-    report = evaluate_volume(recon, reference, data_range=1.0)
+    report = evaluate_volume(recon, reference)
     write_json(cfg.report_path, report.to_dict())
     axial = report.views["axial"]
     print(

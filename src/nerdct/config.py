@@ -24,8 +24,7 @@ class RunConfig(SamplerConfig):
     """SamplerConfig's keys plus geometry, schedule, prior, training, paths."""
 
     # volume / geometry
-    nx: int = 64
-    ny: int = 64
+    nx: int = 64                   # axial slices are nx x nx
     nz: int = 32
     n_angles_full: int = 180
     n_views: int = 8
@@ -55,11 +54,9 @@ class RunConfig(SamplerConfig):
 
     def validate(self):
         super().validate()
-        for name in ("nx", "ny", "nz"):
+        for name in ("nx", "nz"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.nx != self.ny:
-            raise ValueError(f"axial slices must be square, got nx={self.nx}, ny={self.ny}")
         if self.sigma_y < 0:
             raise ValueError(f"sigma_y must be >= 0, got {self.sigma_y}")
         if self.prior not in ("gmm", "conv", "identity"):
@@ -136,7 +133,7 @@ def build_geometry(cfg):
 def build_operator(cfg):
     geometry = build_geometry(cfg)
     view_indices = uniform_view_indices(geometry.n_angles_full, cfg.n_views)
-    return CTOperator(cfg.nx, cfg.ny, cfg.nz, geometry, view_indices)
+    return CTOperator(cfg.nx, cfg.nx, cfg.nz, geometry, view_indices)
 
 
 def build_prior(cfg, schedule):

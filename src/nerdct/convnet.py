@@ -178,13 +178,12 @@ class ConvDenoiserPrior(DenoiserPrior):
             eps[k], inputs = _forward_cache(x_t[k], t, self.weights, self.schedule)
             masks[k] = [a > 0.0 for a in inputs[1:]]
         x0 = tweedie_denoise(x_t, t, eps, self.schedule)
-        a = self.schedule.alpha_bar[t]
 
         def vjp(cotangent):
             out = np.empty(cotangent.shape)
             for k in range(len(cotangent)):
                 eps_vjp = _input_grad(cotangent[k], self.weights, masks[k])
-                out[k] = (cotangent[k] - np.sqrt(1.0 - a) * eps_vjp) / np.sqrt(a)
+                out[k] = tweedie_denoise(cotangent[k], t, eps_vjp, self.schedule)
             return out
 
         return x0, vjp

@@ -13,8 +13,8 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def psnr(candidate, reference, data_range=1.0):
-    """10 log10(data_range^2 / MSE); identical inputs give +inf.
+def psnr(candidate, reference):
+    """10 log10(1 / MSE), for volumes in [0, 1]; identical inputs give +inf.
 
     A subnormal MSE, whose quotient overflows, is scored through logs.
 
@@ -26,17 +26,15 @@ def psnr(candidate, reference, data_range=1.0):
         raise ValueError(
             f"shape mismatch: {candidate.shape} vs {reference.shape}"
         )
-    if not data_range > 0:
-        raise ValueError(f"data_range must be > 0, got {data_range}")
     with np.errstate(over="ignore"):
         mse = float(np.mean((candidate - reference) ** 2))
     if mse == 0.0:
         return math.inf
     if mse == math.inf:
         raise FloatingPointError("overflow in the PSNR's mean squared error")
-    ratio = data_range**2 / mse
+    ratio = 1.0 / mse
     if ratio == math.inf:  # a subnormal MSE
-        return 10.0 * (2.0 * math.log10(data_range) - math.log10(mse))
+        return -10.0 * math.log10(mse)
     return 10.0 * math.log10(ratio)
 
 
@@ -69,17 +67,15 @@ def _smooth(planes):
     return _filter_rows(_filter_rows(planes).swapaxes(1, 2)).swapaxes(1, 2)
 
 
-def _ssim_planes(candidate, reference, data_range):
-    """Mean SSIM of each plane of two (n, h, w) stacks, as a length-n array.
-
-    `evaluate_volume`, the one caller, has `psnr` check data_range first."""
+def _ssim_planes(candidate, reference):
+    """Mean SSIM of each plane of two (n, h, w) stacks, as a length-n array."""
     if min(candidate.shape[1:]) < SSIM_WINDOW:
         raise ValueError(
             f"slice {candidate.shape[1:]} smaller than the {SSIM_WINDOW}x"
             f"{SSIM_WINDOW} window"
         )
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
     mu_x = _smooth(candidate)
     mu_y = _smooth(reference)
     var_x = _smooth(candidate * candidate) - mu_x**2
@@ -102,14 +98,13 @@ class ViewStats:
 @dataclass
 class Report:
     views: dict          # axis name -> ViewStats
-    data_range: float
 
     def to_dict(self):
         views = {
             axis: {key: _json_float(value) for key, value in asdict(stats).items()}
             for axis, stats in self.views.items()
         }
-        return {"data_range": self.data_range, "views": views}
+        return {"views": views}
 
 
 def _json_float(value):
@@ -132,7 +127,7 @@ def _stats(values):
     return float(np.mean(values)), float(np.std(values))
 
 
-def evaluate_volume(candidate, reference, data_range=1.0):
+def evaluate_volume(candidate, reference):
     """Per-slice PSNR/SSIM along axial, coronal, sagittal axes.
 
     Every slice of each view is scored and aggregated as mean/std.  A slice
@@ -150,10 +145,10 @@ def evaluate_volume(candidate, reference, data_range=1.0):
     for axis, order in zip(SLICE_AXES, ((0, 1, 2), (1, 0, 2), (2, 0, 1))):
         a_planes = candidate.transpose(order)
         b_planes = reference.transpose(order)
-        psnr_values = [psnr(a, b, data_range) for a, b in zip(a_planes, b_planes)]
-        ssim_values = _ssim_planes(a_planes, b_planes, data_range)
+        psnr_values = [psnr(a, b) for a, b in zip(a_planes, b_planes)]
+        ssim_values = _ssim_planes(a_planes, b_planes)
         psnr_mean, psnr_std = _stats(psnr_values)
         ssim_mean, ssim_std = _stats(ssim_values)
         views[axis] = ViewStats(psnr_mean, psnr_std, ssim_mean, ssim_std,
                                 len(a_planes))
-    return Report(views=views, data_range=data_range)
+    return Report(views=views)

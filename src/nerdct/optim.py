@@ -112,17 +112,18 @@ class CGResult:
 
 
 def cg_solve(apply_op, b, x0, iterations):
-    """`iterations` steps of matrix-free CG for an SPD operator, from `x0`.
+    """`iterations` steps of matrix-free CG for an SPD operator, in `x0`.
 
     No tolerance: only a residual of exactly zero, whose next curvature
     would be zero, ends the budget early (converged=True); a non-positive
     or NaN curvature sets breakdown=True and returns the last iterate.
 
-    x, r and d are updated in place through one scratch array, and the
-    array `apply_op` returns is read before the next call, so it may be a
-    buffer that `apply_op` reuses.  `b` and `x0` are never written.
+    The float64 start `x0` is the iterate: it is updated in place and
+    returned as `x`.  x, r and d are updated through one scratch array,
+    and the array `apply_op` returns is read before the next call, so it
+    may be a buffer that `apply_op` reuses.  `b` is never written.
     """
-    x = np.array(x0, dtype=np.float64)
+    x = x0
     r = b - apply_op(x)
     d = r.copy()
     scratch = np.empty_like(x)

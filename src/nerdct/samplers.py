@@ -72,9 +72,11 @@ class SamplerConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is int and (value is not None or f.default is not None) and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
+            if kind and (value is not None or f.default is not None) and (
+                    isinstance(value, bool) or not isinstance(value, kind)):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("lam", "lam_z", "rho", "lam_couple"):
@@ -390,7 +392,8 @@ class Sampler:
             np.add(flat_out[1:], flat_dz[:-1], out=flat_out[1:])
             return out
 
-        x = np.ascontiguousarray(self.prior.denoise(state.x, t).reshape(nz, -1).T).T
+        # Always a copy, since CG writes x and the identity prior returns x_t.
+        x = self.prior.denoise(state.x, t).reshape(nz, -1).T.copy().T
         z = np.zeros_like(x)
         w = np.zeros_like(x)
         for _ in range(cfg.dds_admm_iters):
@@ -417,8 +420,10 @@ class Sampler:
 
     # --------------------------------------------------------------- run
 
+    @np.errstate(over="raise", divide="raise", invalid="raise")
     def run(self):
-        """Full reconstruction; returns (clean estimate, per-step traces)."""
+        """Full reconstruction; returns (clean estimate, per-step traces).
+        Overflow, division by zero and invalid values raise FloatingPointError."""
         state = self.initialize()
         steps = self.schedule.sampling_steps
         traces = []

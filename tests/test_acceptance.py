@@ -464,7 +464,7 @@ def test_criterion_09_convergence_trace_shape():
 def test_criterion_10_cli_determinism(tmp_path):
     d = tmp_path
     args = [
-        "--set", "nx=16", "--set", "ny=16", "--set", "nz=12",
+        "--set", "nx=16", "--set", "nz=12",
         "--set", "n_angles_full=12", "--set", "n_views=4",
         "--set", "n_steps=3", "--set", "inner_steps=2", "--set", "epochs=1",
         "--set", f"volume_path={d}/vol.f64",

@@ -17,7 +17,7 @@ from nerdct.config import (RunConfig, build_prior, build_run_config, build_sched
                            parse_config_text, parse_gmm_components)
 
 BASE = [
-    "--set", "nx=16", "--set", "ny=16", "--set", "nz=12",
+    "--set", "nx=16", "--set", "nz=12",
     "--set", "n_angles_full=12", "--set", "n_views=4",
     "--set", "n_steps=3", "--set", "inner_steps=2",
 ]
@@ -49,7 +49,7 @@ def test_full_pipeline_writes_all_artifacts(tmp_path):
                  "recon.f64", "recon.f64.json", "trace.csv", "report.json"):
         assert (tmp_path / name).exists(), name
     report = json.loads((tmp_path / "report.json").read_text())
-    assert set(report) == {"data_range", "views"}
+    assert set(report) == {"views"}
     assert set(report["views"]) == {"axial", "coronal", "sagittal"}
     _, meta = load_volume(str(tmp_path / "recon.f64"))
     assert meta["provenance"]["seed"] == 5
@@ -69,7 +69,7 @@ def test_reconstruction_records_its_own_config_not_evaluates(tmp_path):
     assert main(["reconstruct", "--set", "method=dds", "--set", "seed=7"] + args) == 0
     assert main(["evaluate"] + args) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert set(report) == {"data_range", "views"}
+    assert set(report) == {"views"}
     _, meta = load_volume(str(tmp_path / "recon.f64"))
     provenance = meta["provenance"]
     assert provenance["generator"] == "reconstruct:dds"
@@ -119,7 +119,7 @@ def test_different_seed_changes_reconstruction(tmp_path):
 
 
 def test_invalid_dims_exit_code_and_no_file(tmp_path):
-    args = paths_args(tmp_path) + ["--set", "nx=4", "--set", "ny=4", "--set", "nz=4"]
+    args = paths_args(tmp_path) + ["--set", "nx=4", "--set", "nz=4"]
     assert main(["generate-phantom"] + args) == 1
     assert not (tmp_path / "phantom.f64").exists()
 
@@ -133,7 +133,7 @@ def test_sampler_keys_validated_at_load(tmp_path):
                      "n_detectors=0", "n_detectors=-3", "detector_spacing=0",
                      "beta_end=2", "num_train_steps=0",
                      "seed=-1", "seed=18446744073709551616",  # 2**64
-                     "train_lr=0", "train_lr=-5", "ny=8"):
+                     "train_lr=0", "train_lr=-5"):
         args = BASE + paths_args(tmp_path) + ["--set", override]
         assert main(["generate-phantom"] + args) == 1, override
         assert not (tmp_path / "phantom.f64").exists(), override
@@ -285,7 +285,7 @@ def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
         "# benchmark geometry\n"
-        "nx = 16\nny = 16\nnz = 8\n"
+        "nx = 16\nnz = 8\n"
         "n_angles_full = 12\nn_views = 4\n"
         "n_steps = 2\ninner_steps = 2\n"
         f"volume_path = {tmp_path}/p.f64\n"
@@ -394,7 +394,7 @@ def test_evaluate_identical_volume_inf_serialization(tmp_path):
 # The smallest chain evaluate accepts: every view's slices hold the 11x11
 # SSIM window.
 TINY = [
-    "--set", "nx=12", "--set", "ny=12", "--set", "nz=12",
+    "--set", "nx=12", "--set", "nz=12",
     "--set", "n_angles_full=6", "--set", "n_views=3",
     "--set", "n_steps=1", "--set", "inner_steps=1",
     "--set", "epochs=0", "--set", "prior=conv",
@@ -554,7 +554,7 @@ def test_non_finite_clean_estimate_is_a_numeric_failure(tmp_path, capsys):
     # A sitcom step whose estimate is NaN (see the sampler test of the same
     # config) exits 2 before it writes the reconstruction.
     args = paths_args(tmp_path) + [
-        "--set", "nx=12", "--set", "ny=12", "--set", "nz=8",
+        "--set", "nx=12", "--set", "nz=8",
         "--set", "n_angles_full=30", "--set", "n_views=6", "--set", "n_steps=1",
         "--set", "inner_steps=1", "--set", "lam=0", "--set", "lr=5.7e299"]
     for command in ("generate-phantom", "simulate"):
@@ -575,12 +575,13 @@ def test_parse_config_text():
 
 
 def test_build_run_config_aliases_and_types():
-    # Each key has one name and an unset n_detectors one spelling, auto.
+    # Each key has one name, axial slices are nx x nx (no ny key), and an
+    # unset n_detectors has one spelling, auto.
     cfg = build_run_config({}, {"lam": "0.25", "lam_z": "0.1", "n_steps": "12"})
     assert cfg.lam == 0.25
     assert cfg.lam_z == 0.1
     assert cfg.n_steps == 12
-    for alias in ("lambda", "lambda_z", "lambda_couple"):
+    for alias in ("lambda", "lambda_z", "lambda_couple", "ny"):
         with pytest.raises(ValueError, match=f"unknown config key {alias!r}"):
             build_run_config({}, {alias: "0.25"})
     assert build_run_config({}, {"n_detectors": "auto"}).n_detectors is None

@@ -4,13 +4,14 @@ module does not count; value types a public call returns or takes are
 allowlisted), no `assert` statement is in `src/` (invariants raise typed
 errors, which still fire under `python -O`), only `volume.py` reads
 or writes raw arrays and JSON or turns a record into JSON text (so recorded
-fields are compared by one rule), one function runs
+fields are compared by one rule), two functions run
 `cg_solve`, one sampler function `adam_step` and one function constructs
 `CTOperator` (`config.build_operator`), no class but `DenoiserPrior` defines
 `denoise` or `input_vjp` (a prior implements only `denoise_and_vjp`),
 every defaulted parameter of a public function or method in `src/` is
-passed by some call in `src/` or `benchmarks/` (a default nothing overrides
-is a constant, not a parameter) and left out by some call (a default every
+passed, other than as its default's own expression, by some call in `src/`
+or `benchmarks/` (a default nothing overrides is a constant, not a
+parameter) and left out by some call (a default every
 caller overrides is not a default), `samplers.py` imports nothing from
 `priors.py` (so no sampler path depends on which prior it holds), no module
 imports `scipy.sparse`, only `radon.py` names its compiled `_sparsetools`,
@@ -150,21 +151,23 @@ UNPASSED_DEFAULTS = {
 
 
 def defaulted_parameters(path):
-    """(label, call name, position, keyword) of each defaulted parameter of a
-    public module-level function or method, or of a public class's
-    `__init__`, whose calls name the class.  The position counts the
-    arguments a call writes, so a method's `self` or `cls` is not counted;
-    keyword-only parameters have position None."""
+    """(label, call name, position, keyword, default) of each defaulted
+    parameter of a public module-level function or method, or of a public
+    class's `__init__`, whose calls name the class.  The position counts
+    the arguments a call writes, so a method's `self` or `cls` is not
+    counted; keyword-only parameters have position None.  The default is
+    its expression's node."""
 
     def params(fn, label, call_name, bound):
         args = fn.args
         positional = args.posonlyargs + args.args
-        for arg in positional[len(positional) - len(args.defaults):]:
+        for arg, default in zip(positional[len(positional) - len(args.defaults):],
+                                args.defaults):
             yield (f"{label}.{arg.arg}", call_name,
-                   positional.index(arg) - bound, arg.arg)
+                   positional.index(arg) - bound, arg.arg, default)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield f"{label}.{arg.arg}", call_name, None, arg.arg
+                yield f"{label}.{arg.arg}", call_name, None, arg.arg, default
 
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
@@ -187,6 +190,16 @@ def passes(call, position, keyword):
             or (position is not None and len(call.args) > position))
 
 
+def overrides(call, position, keyword, default):
+    """Whether `call` passes the parameter something other than the
+    expression of its own default."""
+    given = [k.value for k in call.keywords if k.arg == keyword]
+    if position is not None and len(call.args) > position:
+        given.append(call.args[position])
+    return passes(call, position, keyword) and not any(
+        ast.dump(value) == ast.dump(default) for value in given)
+
+
 def defaults_and_calls():
     """The defaulted parameters of `src/`, and {call name: calls} in `src/`
     and `benchmarks/`."""
@@ -201,12 +214,14 @@ def defaults_and_calls():
 
 
 def test_every_defaulted_parameter_is_passed_by_a_caller():
+    # A call that passes the default's own expression overrides nothing.
     defaulted, calls = defaults_and_calls()
     assert UNPASSED_DEFAULTS <= {label for label, *_ in defaulted}
     unpassed = sorted(
-        label for label, name, position, keyword in defaulted
+        label for label, name, position, keyword, default in defaulted
         if label not in UNPASSED_DEFAULTS
-        and not any(passes(c, position, keyword) for c in calls.get(name, [])))
+        and not any(overrides(c, position, keyword, default)
+                    for c in calls.get(name, [])))
     assert not unpassed, f"defaults that no caller overrides: {unpassed}"
 
 
@@ -222,7 +237,7 @@ def test_every_defaulted_parameter_is_left_out_by_a_caller():
     # The mirror of the lint above, which alone judges a name no call uses.
     defaulted, calls = defaults_and_calls()
     assert ALWAYS_PASSED_DEFAULTS <= {label for label, *_ in defaulted}
-    always = {label for label, name, position, keyword in defaulted
+    always = {label for label, name, position, keyword, _ in defaulted
               if name in calls and all(passes(c, position, keyword) for c in calls[name])}
     stale = sorted(ALWAYS_PASSED_DEFAULTS - always)
     assert not stale, f"allowlisted as always passed, but some call leaves out: {stale}"

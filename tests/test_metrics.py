@@ -17,10 +17,8 @@ from nerdct.volume import SLICE_AXES
 def test_psnr_hand_computed():
     a = np.zeros((4, 4))
     b = np.full((4, 4), 0.5)
-    # mse = 0.25, data range 1 -> 10*log10(1/0.25)
+    # mse = 0.25, peak 1 -> 10*log10(1/0.25)
     assert abs(psnr(a, b) - 10.0 * math.log10(1.0 / 0.25)) < 1e-12
-    # Data range scales the score.
-    assert abs(psnr(a, b, data_range=2.0) - 10.0 * math.log10(4.0 / 0.25)) < 1e-12
 
 
 def test_psnr_identical_is_infinite():
@@ -58,15 +56,15 @@ def test_psnr_translation_invariance():
     assert abs(psnr(a, b) - psnr(a + 0.7, b + 0.7)) < 1e-10
 
 
-def naive_ssim(a, b, data_range=1.0):
+def naive_ssim(a, b):
     """Dual implementation: explicit Gaussian window, loop-free formulas."""
     half = SSIM_WINDOW // 2
     ax = np.arange(SSIM_WINDOW) - half
     g1 = np.exp(-(ax**2) / (2.0 * SSIM_SIGMA**2))
     win = np.outer(g1, g1)
     win /= win.sum()
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
+    c1 = 0.01**2
+    c2 = 0.03**2
 
     def filt(img):
         return correlate2d(img, win, mode="valid")
@@ -143,10 +141,7 @@ def test_evaluate_volume_shape_mismatch():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: psnr(np.zeros(3), np.zeros(4)), "shape mismatch"),
-    (lambda: psnr(np.zeros(3), np.ones(3), data_range=0.0), "data_range"),
-    (lambda: evaluate_volume(np.zeros((12,) * 3), np.ones((12,) * 3), data_range=-1.0),
-     "data_range"),
-], ids=["psnr-shape", "psnr-range", "evaluate-range"])
+], ids=["psnr-shape"])
 def test_metrics_reject_bad_inputs(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -166,12 +161,12 @@ def test_evaluate_volume_matches_per_slice_reference(shape):
     rng = Xoshiro256PP(7)
     ref = rng.normal_array(shape) * 0.1 + 0.5
     cand = ref + rng.normal_array(shape) * 0.03
-    report = evaluate_volume(cand, ref, data_range=1.5)
+    report = evaluate_volume(cand, ref)
     for normal, (axis, count) in enumerate(zip(SLICE_AXES, shape)):
         pairs = [(np.take(cand, i, axis=normal), np.take(ref, i, axis=normal))
                  for i in range(count)]
-        psnr_values = [psnr(a, b, 1.5) for a, b in pairs]
-        ssim_values = [naive_ssim(a, b, 1.5) for a, b in pairs]
+        psnr_values = [psnr(a, b) for a, b in pairs]
+        ssim_values = [naive_ssim(a, b) for a, b in pairs]
         stats = report.views[axis]
         assert stats.n_slices == count
         assert stats.psnr_mean == float(np.mean(psnr_values))
@@ -185,9 +180,9 @@ def test_evaluate_volume_calls_the_module_psnr(monkeypatch):
     calls = []
     real = metrics.psnr
 
-    def counting(a, b, data_range=1.0):
+    def counting(a, b):
         calls.append(a.shape)
-        return real(a, b, data_range)
+        return real(a, b)
 
     monkeypatch.setattr(metrics, "psnr", counting)
     vol = Xoshiro256PP(8).normal_array((12, 13, 15))

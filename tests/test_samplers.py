@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerdct import (
     CTOperator,
@@ -31,7 +33,8 @@ from nerdct import (
     soft_threshold,
     uniform_view_indices,
 )
-from nerdct.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cg_solve, project_linf_ball
+from nerdct.optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, NonFiniteGradientError, cg_solve,
+                          project_linf_ball)
 from nerdct.rng import Xoshiro256PP
 from nerdct.samplers import METHODS, PDHG_CG_STEPS, PDHG_ROUNDS, SamplerState
 from exact_inner import cg_oracle, solve_inner_exactly
@@ -107,14 +110,21 @@ def test_rerun_bit_identical():
 @pytest.mark.parametrize("method", METHODS)
 def test_step_leaves_callers_x_t_unchanged(method, prior):
     # nerd-a's inner loop starts from a view of x_t, and the identity prior
-    # returns its input, so an in-place write there would reach x_t.
+    # returns its input, so an in-place write there would reach x_t.  With
+    # one slice, or one voxel a slice, the column layout of x_t is a view
+    # of x_t, and CG iterates in place in the start it is given.
     op, _, y = small_problem()
-    sampler = Sampler(config(method), op, y, prior, SCHED)
-    state = sampler.initialize()
-    x_t = state.x
-    before = x_t.tobytes()
-    sampler.step(state, 500, 500)
-    assert x_t.tobytes() == before
+    cases = [(op, y)]
+    for nz, nx in ((1, NX), (NZ, 1)):
+        thin = CTOperator(nx, nx, nz, default_geometry(nx, 12), VIEWS)
+        cases.append((thin, np.zeros(thin.sinogram_shape)))
+    for op, y in cases:
+        sampler = Sampler(config(method), op, y, prior, SCHED)
+        state = sampler.initialize()
+        x_t = state.x
+        before = x_t.tobytes()
+        sampler.step(state, 500, 500)
+        assert x_t.tobytes() == before, x_t.shape
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -131,9 +141,9 @@ def test_run_and_step_return_c_contiguous_volumes(method):
         assert vol.flags.c_contiguous
 
 
-# Warm-run traced peaks read 7.67, 10.67, 15.67 and 13.49 volumes; each
-# bound sits about half a volume above its reading.
-PEAK_VOLUMES = {"sitcom": 8.2, "nerd-a": 11.2, "nerd-p": 16.2, "dds": 13.2}
+# Warm-run traced peaks read 7.67, 10.67, 14.67 and 12.49 volumes; each
+# bound sits about half a volume above its reading, dds's 0.7.
+PEAK_VOLUMES = {"sitcom": 8.2, "nerd-a": 11.2, "nerd-p": 15.2, "dds": 13.2}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -208,9 +218,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed"):
             SamplerConfig(seed=bad).validate()
     SamplerConfig(seed=2**64 - 1).validate()
-    # Non-finite floats: NaN slips past `x < 0`, inf past `not x > 0`.
+    # Non-finite floats: NaN slips past `x < 0`, inf past `not x > 0`.  A
+    # bool passes both as 0 or 1; a string or None fails them with TypeError.
     for name in ("lam", "lam_z", "rho", "lam_couple", "tau", "sigma", "lr"):
-        for bad in (float("nan"), float("inf"), float("-inf")):
+        for bad in (float("nan"), float("inf"), float("-inf"), True, "0.1", None):
             with pytest.raises(ValueError, match=name):
                 SamplerConfig(**{name: bad}).validate()
 
@@ -692,6 +703,11 @@ def test_pdhg_step_size_condition_uses_exact_dz_norm(caplog):
             assert "||Dz||^2" in rec.getMessage()
     # Criterion 5's nerd-p settings give 0.956 < 1 at nz = 4, so they must not warn.
     assert chambolle_pock_warnings(caplog, 4, tau=1.0, sigma=28.0, lam_z=0.1) == []
+    # The condition is strict: at nz = 2, where ||Dz||^2 rounds to 2 - 2**-52,
+    # this tau makes the product exactly 1, which must warn.
+    (rec,) = chambolle_pock_warnings(caplog, 2, tau=0.5000000000000001, sigma=1.0,
+                                     lam_z=1.0)
+    assert rec.args[0] == 1.0
 
 
 # ----------------------------------------------------- exact inner solves
@@ -977,7 +993,7 @@ def test_non_finite_clean_estimate_raises():
     # default GMM prior returns NaN without a floating-point warning; run
     # must raise, not return the NaN estimate.
     cfg = build_run_config({}, {
-        "nx": "12", "ny": "12", "nz": "8", "n_angles_full": "30", "n_views": "6",
+        "nx": "12", "nz": "8", "n_angles_full": "30", "n_views": "6",
         "method": "sitcom", "n_steps": "1", "inner_steps": "1", "lam": "0",
         "lr": "5.7e299"})
     op, schedule = build_operator(cfg), build_schedule(cfg)
@@ -985,3 +1001,37 @@ def test_non_finite_clean_estimate_raises():
                       build_prior(cfg, schedule), schedule)
     with pytest.raises(SamplerError, match="sitcom estimate at t=1000: 1152 non-finite"):
         sampler.run()
+
+
+FUZZ_OP = CTOperator(12, 12, 8, default_geometry(12, 12), uniform_view_indices(12, 4))
+FUZZ_PHANTOM = shepp_logan_3d(12, 12, 8)
+NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@settings(max_examples=60)
+@given(method=st.sampled_from(METHODS), gmm=st.booleans(),
+       floats=st.fixed_dictionaries({
+           **dict.fromkeys(("lam", "lam_z", "rho", "lam_couple"), NON_NEGATIVE),
+           **dict.fromkeys(("tau", "sigma", "lr"), POSITIVE)}),
+       counts=st.fixed_dictionaries({
+           "n_steps": st.integers(1, 3), "inner_steps": st.integers(1, 4),
+           "dds_admm_iters": st.integers(0, 2), "cg_max_iter": st.integers(1, 3),
+           "seed": st.integers(0, 2**64 - 1)}))
+def test_run_ends_finite_or_raises_a_typed_error(method, gmm, floats, counts):
+    # Extreme but finite settings: a library run returns a finite volume and
+    # trace or raises one of the errors a caller can catch, never a NumPy
+    # RuntimeWarning (here an error) or a non-finite result.
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=counts["n_steps"])
+    prior = gmm_prior(sched) if gmm else IdentityPrior()
+    cfg = SamplerConfig(method=method, **floats, **counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sampler = Sampler(cfg, FUZZ_OP, FUZZ_OP.forward(FUZZ_PHANTOM), prior, sched,
+                              FUZZ_PHANTOM)
+            x0, traces = sampler.run()
+        except (SamplerError, NonFiniteGradientError, ValueError, FloatingPointError):
+            return
+    assert np.all(np.isfinite(x0))
+    assert all(np.isfinite([rec.data_residual, rec.tv_z, rec.psnr]).all() for rec in traces)
