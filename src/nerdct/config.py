@@ -3,18 +3,17 @@
 Config files are plain text: one ``key = value`` per line, ``#`` comments
 and blank lines ignored.  Every key has a typed default: the sampler keys
 in ``SamplerConfig``, the run keys below, and its type is the field's
-annotation; a key whose default is None reads ``auto`` as None.  Each key
-has one name, and unknown keys are rejected.  The builders at the end wire
-a RunConfig into geometry, schedule, operator and prior; validation runs
-the geometry and schedule builders and the view selection.  Every rule
-raises ValueError.
+annotation.  Each key has one name, and unknown keys are rejected.  The
+builders at the end wire a RunConfig into geometry, schedule, operator and
+prior; validation runs the geometry and schedule builders and the view
+selection.  Every rule raises ValueError.
 """
 
 from dataclasses import dataclass, fields
 
 from .convnet import ConvDenoiserPrior, load_weights
 from .priors import GmmScalarPrior, IdentityPrior, validate_mixture
-from .radon import CTOperator, ProjectionGeometry, default_geometry, uniform_view_indices
+from .radon import CTOperator, default_geometry, uniform_view_indices
 from .samplers import SamplerConfig
 from .schedule import NoiseSchedule
 
@@ -28,13 +27,7 @@ class RunConfig(SamplerConfig):
     nz: int = 32
     n_angles_full: int = 180
     n_views: int = 8
-    n_detectors: int = None        # auto: ceil(sqrt(2) * nx)
-    detector_spacing: float = 1.0
     sigma_y: float = 0.1           # measurement noise std (variance 0.01)
-    # diffusion schedule
-    num_train_steps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
     # prior
     prior: str = "gmm"             # gmm | conv | identity
     gmm_components: str = (
@@ -81,8 +74,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(name, text, target_type):
     text = text.strip()
-    if getattr(RunConfig, name) is None and text == "auto":
-        return None
     try:
         return target_type(text)
     except ValueError as exc:
@@ -116,18 +107,11 @@ def build_run_config(file_values, overrides):
 
 
 def build_schedule(cfg):
-    return NoiseSchedule.linear_beta(
-        num_train_steps=cfg.num_train_steps,
-        beta_start=cfg.beta_start,
-        beta_end=cfg.beta_end,
-        n_sampling_steps=cfg.n_steps,
-    )
+    return NoiseSchedule.linear_beta(n_sampling_steps=cfg.n_steps)
 
 
 def build_geometry(cfg):
-    if cfg.n_detectors is None:
-        return default_geometry(cfg.nx, cfg.n_angles_full, cfg.detector_spacing)
-    return ProjectionGeometry(cfg.n_angles_full, cfg.n_detectors, cfg.detector_spacing)
+    return default_geometry(cfg.nx, cfg.n_angles_full)
 
 
 def build_operator(cfg):

@@ -59,10 +59,9 @@ class ProjectionGeometry:
         return np.arange(self.n_angles_full) * (np.pi / self.n_angles_full)
 
 
-def default_geometry(nx, n_angles_full, detector_spacing=1.0):
-    """Detector row wide enough to cover the slice diagonal."""
-    n_detectors = math.ceil(math.sqrt(2.0) * nx)
-    return ProjectionGeometry(n_angles_full, n_detectors, detector_spacing)
+def default_geometry(nx, n_angles_full):
+    """Unit-spaced detector row wide enough to cover the slice diagonal."""
+    return ProjectionGeometry(n_angles_full, math.ceil(math.sqrt(2.0) * nx))
 
 
 def uniform_view_indices(n_angles_full, n_views):

@@ -28,6 +28,7 @@ seed consume identical noise realizations.
 import logging
 import math
 import numbers
+import sys
 import time
 from dataclasses import astuple, dataclass, field, fields
 
@@ -73,11 +74,11 @@ class SamplerConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
-            if kind and (value is not None or f.default is not None) and (
-                    isinstance(value, bool) or not isinstance(value, kind)):
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
                 noun = "an integer" if kind is numbers.Integral else "a number"
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            # Compared, not converted: an int past the float range overflows.
+            if kind is numbers.Real and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("lam", "lam_z", "rho", "lam_couple"):
             if getattr(self, name) < 0:

@@ -4,6 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# DDPM's schedule (Ho et al. 2020), the one every run uses; a caller that
+# needs another builds a NoiseSchedule from its own alpha_bar.
+NUM_TRAIN_STEPS = 1000
+BETA_START = 1e-4
+BETA_END = 0.02
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -49,18 +55,11 @@ class NoiseSchedule:
         return len(self.sampling_steps)
 
     @classmethod
-    def linear_beta(cls, num_train_steps=1000, beta_start=1e-4, beta_end=0.02, *,
-                    n_sampling_steps):
-        """Linear beta ramp; alpha_bar[t] = prod_{s<=t} (1 - beta_s)."""
-        if num_train_steps < 1:
-            raise ValueError(f"num_train_steps must be >= 1, got {num_train_steps}")
-        if not 0 < beta_start <= beta_end < 1:
-            raise ValueError(
-                f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
-            )
-        betas = np.linspace(beta_start, beta_end, num_train_steps)
+    def linear_beta(cls, *, n_sampling_steps):
+        """DDPM's linear beta ramp; alpha_bar[t] = prod_{s<=t} (1 - beta_s)."""
+        betas = np.linspace(BETA_START, BETA_END, NUM_TRAIN_STEPS)
         alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-        steps = uniform_sampling_steps(num_train_steps, n_sampling_steps)
+        steps = uniform_sampling_steps(NUM_TRAIN_STEPS, n_sampling_steps)
         return cls(alpha_bar, steps)
 
 

@@ -130,8 +130,6 @@ def test_sampler_keys_validated_at_load(tmp_path):
     for override in ("tau=0", "gmm_components=garbage",
                      "gmm_components=0.5:0:0.1",  # weights sum to 0.5
                      "gmm_components=1:nan:0.1",
-                     "n_detectors=0", "n_detectors=-3", "detector_spacing=0",
-                     "beta_end=2", "num_train_steps=0",
                      "seed=-1", "seed=18446744073709551616",  # 2**64
                      "train_lr=0", "train_lr=-5"):
         args = BASE + paths_args(tmp_path) + ["--set", override]
@@ -157,10 +155,13 @@ def test_unknown_command_usage_error():
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     # The next four were sampler keys once; their work moved to lam_z, rho,
-    # cg_max_iter and nerd-p's one extrapolation.  The last three were
-    # second names of lam, lam_z and lam_couple.
+    # cg_max_iter and nerd-p's one extrapolation.  The three after them were
+    # second names of lam, lam_z and lam_couple.  The last five were run
+    # keys: the detector row follows from nx and the schedule is DDPM's.
     for key in ("does_not_exist", "dds_gamma", "dds_rho", "cg_tol",
-                "pdhg_extrapolation", "lambda", "lambda_z", "lambda_couple"):
+                "pdhg_extrapolation", "lambda", "lambda_z", "lambda_couple",
+                "n_detectors", "detector_spacing", "num_train_steps",
+                "beta_start", "beta_end"):
         args = paths_args(tmp_path) + ["--set", f"{key}=1"]
         assert main(["generate-phantom"] + args) == 1, key
         assert f"unknown config key {key!r}" in capsys.readouterr().err
@@ -258,9 +259,10 @@ def test_malformed_sinogram_sidecar_exit_1(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("change", [
-    "n_views=6", "detector_spacing=2.0", "n_detectors=30", "nz=8",
-    {"view_indices": [0, 5, 7, 11]},
-], ids=["n_views=6", "detector_spacing=2.0", "n_detectors=30", "nz=8", "views-0-5-7-11"])
+    "n_views=6", "nz=8", {"view_indices": [0, 5, 7, 11]},
+    {"geometry": {"n_angles_full": 12, "n_detectors": 30, "detector_spacing": 1.0}},
+    {"geometry": {"n_angles_full": 12, "n_detectors": 23, "detector_spacing": 2.0}},
+], ids=["n_views=6", "nz=8", "views-0-5-7-11", "n_detectors=30", "detector_spacing=2.0"])
 def test_config_mismatch_with_sinogram_sidecar(tmp_path, capsys, change):
     # reconstruct builds the projector from the config; a sinogram recorded
     # under another geometry, view set or shape is refused, not adopted.
@@ -354,21 +356,21 @@ def test_reconstruct_with_conv_prior(tmp_path):
 
 
 @pytest.mark.parametrize("trained", [
-    "num_train_steps=50", "beta_end=0.5", {"num_train_steps": 1000.0},
-])
+    {"num_train_steps": 50},
+    {"alpha_bar_last": float(np.prod(1.0 - np.linspace(1e-4, 0.5, 1000)))},
+    {"num_train_steps": 1000.0},
+], ids=["num_train_steps=50", "beta_end=0.5", "trained2"])
 def test_reconstruct_rejects_weights_from_another_schedule(tmp_path, capsys, trained):
-    # A dict edits the recorded schedule: JSON text 1000.0 is not 1000.
+    # Each case edits the recorded schedule to what weights trained under
+    # another one would record; JSON text 1000.0 is not 1000.
     args = BASE + paths_args(tmp_path) + ["--set", "epochs=1"]
     assert main(["generate-phantom"] + args) == 0
     assert main(["simulate"] + args) == 0
-    if isinstance(trained, dict):
-        assert main(["train-denoiser"] + args) == 0
-        sidecar_path = tmp_path / "weights.f64.json"
-        sidecar = json.loads(sidecar_path.read_text())
-        sidecar["schedule"].update(trained)
-        sidecar_path.write_text(json.dumps(sidecar))
-    else:
-        assert main(["train-denoiser", "--set", trained] + args) == 0
+    assert main(["train-denoiser"] + args) == 0
+    sidecar_path = tmp_path / "weights.f64.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["schedule"].update(trained)
+    sidecar_path.write_text(json.dumps(sidecar))
     capsys.readouterr()
     assert main(["reconstruct", "--set", "prior=conv"] + args) == 1
     err = capsys.readouterr().err
@@ -575,8 +577,7 @@ def test_parse_config_text():
 
 
 def test_build_run_config_aliases_and_types():
-    # Each key has one name, axial slices are nx x nx (no ny key), and an
-    # unset n_detectors has one spelling, auto.
+    # Each key has one name, and axial slices are nx x nx (no ny key).
     cfg = build_run_config({}, {"lam": "0.25", "lam_z": "0.1", "n_steps": "12"})
     assert cfg.lam == 0.25
     assert cfg.lam_z == 0.1
@@ -584,11 +585,9 @@ def test_build_run_config_aliases_and_types():
     for alias in ("lambda", "lambda_z", "lambda_couple", "ny"):
         with pytest.raises(ValueError, match=f"unknown config key {alias!r}"):
             build_run_config({}, {alias: "0.25"})
-    assert build_run_config({}, {"n_detectors": "auto"}).n_detectors is None
-    for text in ("none", "", "AUTO"):
-        with pytest.raises(ValueError, match="config key 'n_detectors': cannot parse"):
-            build_run_config({}, {"n_detectors": text})
-    assert build_run_config({}, {"n_detectors": "23"}).n_detectors == 23
+    for text in ("auto", "none", ""):
+        with pytest.raises(ValueError, match="config key 'nx': cannot parse"):
+            build_run_config({}, {"nx": text})
 
 
 @pytest.mark.parametrize("key, text, message", [
@@ -603,12 +602,11 @@ def test_run_config_rules(key, text, message):
         build_run_config({}, {key: text})
 
 
-@pytest.mark.parametrize("name, bad", [("nx", 16.0), ("epochs", True), ("n_detectors", 23.5)])
+@pytest.mark.parametrize("name, bad", [("nx", 16.0), ("epochs", True), ("nz", 12.5)])
 def test_run_config_integer_fields_take_only_integers(name, bad):
     cfg = RunConfig(**{name: bad})
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         cfg.validate()
-    assert RunConfig(n_detectors=None).validate().n_detectors is None
 
 
 def test_identity_prior_built():

@@ -75,7 +75,7 @@ def used_names(path):
 UNCALLED_EXPORTS = {
     # Returned or taken by a public call.
     "RunConfig", "Report", "ViewStats", "TraceRecord", "CGResult", "Ellipsoid",
-    "SHEPP_LOGAN_ELLIPSOIDS",
+    "SHEPP_LOGAN_ELLIPSOIDS", "ProjectionGeometry",
 }
 
 

@@ -412,7 +412,8 @@ def test_adjoint_identity_random_geometries(nx, nz, n_angles_full, data,
                                             detector_spacing, seed):
     views = data.draw(st.lists(st.integers(0, n_angles_full - 1), min_size=1,
                                unique=True), label="views")
-    geom = default_geometry(nx, n_angles_full, detector_spacing)
+    geom = ProjectionGeometry(n_angles_full, math.ceil(math.sqrt(2.0) * nx),
+                              detector_spacing)
     op = CTOperator(nx, nx, nz, geom, views)
     rng = Xoshiro256PP(seed)
     v = rng.normal_array((nz, nx, nx))

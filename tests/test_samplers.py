@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nerdct import (
+    ConvDenoiserPrior,
     CTOperator,
     GmmScalarPrior,
     IdentityPrior,
@@ -33,10 +34,12 @@ from nerdct import (
     soft_threshold,
     uniform_view_indices,
 )
+from nerdct.convnet import init_weights
 from nerdct.optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, NonFiniteGradientError, cg_solve,
                           project_linf_ball)
 from nerdct.rng import Xoshiro256PP
 from nerdct.samplers import METHODS, PDHG_CG_STEPS, PDHG_ROUNDS, SamplerState
+from nerdct.schedule import uniform_sampling_steps
 from exact_inner import cg_oracle, solve_inner_exactly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -220,8 +223,10 @@ def test_config_validation():
     SamplerConfig(seed=2**64 - 1).validate()
     # Non-finite floats: NaN slips past `x < 0`, inf past `not x > 0`.  A
     # bool passes both as 0 or 1; a string or None fails them with TypeError.
+    # An int past the float range passes both and overflows mid-run.
     for name in ("lam", "lam_z", "rho", "lam_couple", "tau", "sigma", "lr"):
-        for bad in (float("nan"), float("inf"), float("-inf"), True, "0.1", None):
+        for bad in (float("nan"), float("inf"), float("-inf"), True, "0.1", None,
+                    10**400, -10**400):
             with pytest.raises(ValueError, match=name):
                 SamplerConfig(**{name: bad}).validate()
 
@@ -244,13 +249,14 @@ def test_ground_truth_shape_validated():
         Sampler(config("dds"), op, y, gmm_prior(), SCHED, phantom[1:])
 
 
-@pytest.mark.parametrize("sched", [
-    NoiseSchedule.linear_beta(beta_end=0.04, n_sampling_steps=4),
-    NoiseSchedule.linear_beta(num_train_steps=500, n_sampling_steps=4),
-], ids=["beta_end", "num_train_steps"])
-def test_prior_schedule_alpha_bar_must_match(sched):
+@pytest.mark.parametrize("num_train_steps, beta_end", [(1000, 0.04), (500, 0.02)],
+                         ids=["beta_end", "num_train_steps"])
+def test_prior_schedule_alpha_bar_must_match(num_train_steps, beta_end):
     # The prior would denoise with one alpha_bar and _resample re-noise with
-    # another.
+    # another: here a linear beta ramp other than DDPM's.
+    betas = np.linspace(1e-4, beta_end, num_train_steps)
+    sched = NoiseSchedule(np.concatenate([[1.0], np.cumprod(1.0 - betas)]),
+                          uniform_sampling_steps(num_train_steps, 4))
     op, _, y = small_problem()
     with pytest.raises(ValueError, match="alpha_bar"):
         Sampler(config("dds"), op, y, gmm_prior(), sched)
@@ -809,9 +815,9 @@ def test_exact_joint_solve_without_anchor_or_coupling_keeps_input():
 
 
 # ------------------------------------------------------ one-step oracles
-# One Sampler.step of each Adam-path method on a 6x6x4, 3-view problem,
-# against the docstring equations written out in dense NumPy: the operator
-# and Dz as matrices, the textbook Adam recursion and out-of-place CG.
+# One Sampler.step of each method on a 6x6x4, 3-view problem, against the
+# docstring equations written out in dense NumPy: the operator and Dz as
+# matrices, the textbook Adam recursion and out-of-place CG.
 
 ORACLE_SHAPE = (4, 6, 6)
 ORACLE_T, ORACLE_T_NEXT = 500, 250
@@ -895,6 +901,23 @@ def pdhg_reference(prior, amat, dmat, y, cfg, x_t, w, u):
     return prior.denoise(v, ORACLE_T), w_new.reshape(x_t.shape), u.reshape(x_t.shape)
 
 
+def dds_dense_reference(prior, amat, dmat, y, cfg, x_t):
+    """dds: x = f(x_t), then ADMM iterations from z = w = 0, each
+    cg_max_iter CG steps from the last x on (A^T A + (rho/2) Dz^T Dz) x
+    = A^T y + (rho/2) Dz^T (z - w), then z = soft(Dz x + w, lam_z/rho) and
+    w = w + Dz x - z.  Returns x and the last z."""
+    hmat = amat.T @ amat + 0.5 * cfg.rho * dmat.T @ dmat
+    x = prior.denoise(x_t, ORACLE_T).ravel()
+    z = w = np.zeros_like(x)
+    for _ in range(cfg.dds_admm_iters):
+        rhs = amat.T @ y.ravel() + 0.5 * cfg.rho * dmat.T @ (z - w)
+        x = cg_oracle(lambda d: hmat @ d, rhs, 0.0, cfg.cg_max_iter, x).x
+        target = dmat @ x + w
+        z = np.sign(target) * np.maximum(np.abs(target) - cfg.lam_z / cfg.rho, 0.0)
+        w = target - z
+    return x.reshape(x_t.shape), z
+
+
 def assert_close(got, expected, name):
     assert np.max(np.abs(got - expected)) <= 1e-12, (name, np.max(np.abs(got - expected)))
 
@@ -939,6 +962,23 @@ def test_pdhg_step_matches_dense_reference(prior):
     assert_close(got, x0, "x0")
     assert_close(state.w, w_new, "w")
     assert_close(state.u, u_new, "u")
+    assert_close(state.x, renoise_reference(cfg, x0), "x_next")
+
+
+@ORACLE_PRIORS
+def test_dds_step_matches_dense_reference(prior):
+    # Covers the denoise, the x-update's CG on the halved normal equation
+    # with Dz as a matrix, the split update and the re-noise; the threshold
+    # binds on some entries, not all.  A few CG steps keep the dense
+    # recursion within 1e-12 of the column one.
+    op, y, amat, dmat = oracle_problem()
+    cfg = config("dds", lam_z=0.1, rho=2.0, dds_admm_iters=2, cg_max_iter=3, seed=3)
+    x_t = Xoshiro256PP(43).normal_array(ORACLE_SHAPE)
+    x0, z = dds_dense_reference(prior, amat, dmat, y, cfg, x_t)
+    assert np.count_nonzero(z) and np.count_nonzero(z == 0.0)
+    state = SamplerState(x=x_t.copy())
+    got = Sampler(cfg, op, y, prior, SCHED).step(state, ORACLE_T, ORACLE_T_NEXT)
+    assert_close(got, x0, "x0")
     assert_close(state.x, renoise_reference(cfg, x0), "x_next")
 
 
@@ -1010,7 +1050,7 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 
 
 @settings(max_examples=60)
-@given(method=st.sampled_from(METHODS), gmm=st.booleans(),
+@given(method=st.sampled_from(METHODS), prior=st.sampled_from(("identity", "gmm", "conv")),
        floats=st.fixed_dictionaries({
            **dict.fromkeys(("lam", "lam_z", "rho", "lam_couple"), NON_NEGATIVE),
            **dict.fromkeys(("tau", "sigma", "lr"), POSITIVE)}),
@@ -1018,12 +1058,14 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
            "n_steps": st.integers(1, 3), "inner_steps": st.integers(1, 4),
            "dds_admm_iters": st.integers(0, 2), "cg_max_iter": st.integers(1, 3),
            "seed": st.integers(0, 2**64 - 1)}))
-def test_run_ends_finite_or_raises_a_typed_error(method, gmm, floats, counts):
+def test_run_ends_finite_or_raises_a_typed_error(method, prior, floats, counts):
     # Extreme but finite settings: a library run returns a finite volume and
     # trace or raises one of the errors a caller can catch, never a NumPy
-    # RuntimeWarning (here an error) or a non-finite result.
+    # RuntimeWarning (here an error) or a non-finite result.  Untrained conv
+    # weights are enough for that.
     sched = NoiseSchedule.linear_beta(n_sampling_steps=counts["n_steps"])
-    prior = gmm_prior(sched) if gmm else IdentityPrior()
+    prior = {"identity": IdentityPrior, "gmm": lambda: gmm_prior(sched),
+             "conv": lambda: ConvDenoiserPrior(sched, init_weights(counts["seed"]))}[prior]()
     cfg = SamplerConfig(method=method, **floats, **counts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

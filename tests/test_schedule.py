@@ -19,11 +19,12 @@ def test_linear_beta_alpha_bar_shape_and_bounds():
 
 
 def test_linear_beta_matches_cumprod():
-    sched = NoiseSchedule.linear_beta(num_train_steps=100, beta_start=1e-4, beta_end=0.02,
-                                      n_sampling_steps=30)
-    betas = np.linspace(1e-4, 0.02, 100)
+    # DDPM's schedule: beta linear from 1e-4 to 0.02 over T = 1000 steps.
+    sched = NoiseSchedule.linear_beta(n_sampling_steps=30)
+    betas = np.linspace(1e-4, 0.02, 1000)
     expected = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    assert np.allclose(sched.alpha_bar, expected, rtol=1e-14)
+    np.testing.assert_array_equal(sched.alpha_bar, expected)
+    np.testing.assert_array_equal(sched.sampling_steps, uniform_sampling_steps(1000, 30))
 
 
 def test_sampling_steps_properties():
