@@ -11,6 +11,7 @@ they can be checked directly against finite differences.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .optim import AdamState, adam_step
 from .priors import DenoiserPrior
@@ -20,25 +21,43 @@ from .volume import load_raw, save_raw
 
 KERNEL = 3
 CHANNELS = (2, 8, 8, 1)  # image + time channel in, eps out
+GATHER_CHANNELS = 2  # operands this thin run as one matmul on copied windows
+
+
+def _windows(x):
+    """(9C, H*W) copy of the 3x3 windows of x (C, H, W), zero-padded once:
+    row 9c + 3dy + dx is channel c shifted by (dy, dx)."""
+    c, height, width = x.shape
+    padded = np.zeros((c, height + 2, width + 2))
+    padded[:, 1:-1, 1:-1] = x
+    windows = sliding_window_view(padded, (height, width), axis=(1, 2))
+    return windows.reshape(c * KERNEL * KERNEL, height * width)
 
 
 def _tap_sum(x, taps, scatter):
     """Sum over the taps (dy, dx), in row-major order, of taps[dy, dx] @ x.
 
-    x (C, H, W) is zero-padded once into a (C, H+2, W+4) buffer viewed flat,
-    so each tap's operand is a contiguous run that BLAS reads in place: the
-    conv reads at the tap's shift and adds at the centre, the transposed conv
-    (scatter) reads at the centre and adds at the shift.  Pitch columns are
-    cropped; in the scatter they add +-0 to sums that start at +0.0.  The bits
-    equal a per-tap np.dot on the dense patch: kernels go in as np.dot takes
-    them (a matrix copied, a row strided), and the run spans the first to the
-    last pixel with length H*W mod 4, so gemv kernels that round the last
-    N mod 4 outputs apart round the same pixels apart.
+    An x of at most GATHER_CHANNELS channels has its windows copied into one
+    buffer for a single matmul (taps flipped for the transposed conv).  For
+    wider ones the copy costs more than it saves, so x is zero-padded once
+    into a (C, H+2, W+4) buffer viewed flat, and each tap's operand is a
+    contiguous run that BLAS reads in place: the conv reads at the tap's shift
+    and adds at the centre, the transposed conv (scatter) reads at the centre
+    and adds at the shift.  Pitch columns are cropped; in the scatter they add
+    +-0 to sums that start at +0.0.  These bits equal a per-tap np.dot on the
+    dense patch: kernels go in as np.dot takes them (a matrix copied, a row
+    strided), and the run spans the first to the last pixel with length
+    H*W mod 4, so gemv kernels that round the last N mod 4 outputs apart
+    round the same pixels apart.
     """
+    c, height, width = x.shape
+    if c <= GATHER_CHANNELS:
+        taps = taps[::-1, ::-1] if scatter else taps
+        kernel = taps.transpose(2, 3, 0, 1).reshape(taps.shape[2], -1)
+        return (kernel @ _windows(x)).reshape(-1, height, width)
     taps = np.ascontiguousarray(taps) if taps.shape[2] > 1 else taps
     # matmul runs a one-column kernel (an outer product) through a slow loop.
     product = np.matmul if taps.shape[3] > 1 else np.multiply
-    c, height, width = x.shape
     row = width + 4
     n = (height - 1) * row + width
     padded = np.zeros((c, height + 2, row))
@@ -66,9 +85,14 @@ def conv2d_input_grad(grad_out, weight):
 
 
 def conv2d_weight_grad(grad_out, x):
-    """Gradients w.r.t. kernel and bias for one input."""
+    """Gradients w.r.t. kernel and bias for one input.  A thin x takes one
+    matmul on its windows; a wide one takes a patch per tap, since its
+    windows would be the largest buffer training holds."""
     c_in, height, width = x.shape
     c_out = grad_out.shape[0]
+    if c_in <= GATHER_CHANNELS:
+        grad_w = grad_out.reshape(c_out, -1) @ _windows(x).T
+        return grad_w.reshape(c_out, c_in, KERNEL, KERNEL), grad_out.sum(axis=(1, 2))
     padded = np.zeros((c_in, height + 2, width + 2))
     padded[:, 1:-1, 1:-1] = x
     grad_w = np.zeros((c_out, c_in, KERNEL, KERNEL))
@@ -131,13 +155,12 @@ def _backward(grad_eps, weights, inputs):
 
 
 def _input_grad(grad_eps, weights, masks):
-    """Transposed-conv chain to the image channel; masks[i] = hidden ReLU i active."""
+    """Transposed-conv chain to the image channel; masks[i] = hidden ReLU i active.
+    The first layer's transpose forms the image channel alone, not the time one."""
     grad = grad_eps[None]
-    for i in range(len(weights) - 1, -1, -1):
-        grad = conv2d_input_grad(grad, weights[i][0])
-        if i > 0:
-            grad = grad * masks[i - 1]
-    return grad[0]
+    for i in range(len(weights) - 1, 0, -1):
+        grad = conv2d_input_grad(grad, weights[i][0]) * masks[i - 1]
+    return conv2d_input_grad(grad, weights[0][0][:, :1])[0]
 
 
 def pack_weights(weights):
@@ -170,6 +193,9 @@ class ConvDenoiserPrior(DenoiserPrior):
 
     def denoise_and_vjp(self, x_t, t):
         """One forward pass per slice; the VJP reuses its hidden ReLU masks."""
+        if np.ndim(x_t) != 3:
+            raise ValueError("expected an (nz, ny, nx) stack of slices, "
+                             f"got shape {np.shape(x_t)}")
         eps = np.empty_like(x_t)
         # One bool block (slice, hidden layer, channel, y, x); hidden widths match.
         hidden = (len(CHANNELS) - 2, CHANNELS[1])
@@ -180,11 +206,10 @@ class ConvDenoiserPrior(DenoiserPrior):
         x0 = tweedie_denoise(x_t, t, eps, self.schedule)
 
         def vjp(cotangent):
-            out = np.empty(cotangent.shape)
+            eps_vjp = np.empty(cotangent.shape)
             for k in range(len(cotangent)):
-                eps_vjp = _input_grad(cotangent[k], self.weights, masks[k])
-                out[k] = tweedie_denoise(cotangent[k], t, eps_vjp, self.schedule)
-            return out
+                eps_vjp[k] = _input_grad(cotangent[k], self.weights, masks[k])
+            return tweedie_denoise(cotangent, t, eps_vjp, self.schedule)
 
         return x0, vjp
 

@@ -1,5 +1,10 @@
 """Convolutional noise predictor: manual conv calculus and training."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +17,15 @@ from nerdct import (
 )
 from nerdct.convnet import (
     CHANNELS,
+    GATHER_CHANNELS,
     KERNEL,
     _backward,
     _forward_cache,
+    _input_grad,
     conv2d,
     conv_forward,
     conv2d_input_grad,
+    conv2d_weight_grad,
     denoising_loss,
     init_weights,
     pack_weights,
@@ -26,6 +34,7 @@ from nerdct.convnet import (
 from nerdct.rng import Xoshiro256PP
 
 SCHED = NoiseSchedule.linear_beta(n_sampling_steps=30)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_conv2d_against_naive_loops():
@@ -75,20 +84,49 @@ def tensordot_conv2d_input_grad(grad_out, weight):
     return acc[:, 1:-1, 1:-1]
 
 
+def tensordot_conv2d_weight_grad(grad_out, x):
+    """Reference: the kernel gradient as a per-tap tensordot over copied patches."""
+    c_in, height, width = x.shape
+    padded = np.zeros((c_in, height + 2, width + 2))
+    padded[:, 1:-1, 1:-1] = x
+    grad_w = np.zeros((len(grad_out), c_in, KERNEL, KERNEL))
+    for dy in range(KERNEL):
+        for dx in range(KERNEL):
+            patch = padded[:, dy:dy + height, dx:dx + width]
+            grad_w[:, :, dy, dx] = np.tensordot(grad_out, patch, axes=([1, 2], [1, 2]))
+    return grad_w
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("c_in, c_out", [(2, 8), (8, 8), (8, 1), (1, 3)])
-@pytest.mark.parametrize("height, width", [(1, 1), (7, 6), (6, 7), (64, 64)])
+def assert_rounding_close(got, want):
+    """One matmul over gathered windows sums each output in another order."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def matches_loop(channels):
+    """The check for a conv whose operand has `channels` channels: the tap
+    loop keeps the reference's bits, the gathered matmul its value."""
+    return assert_rounding_close if channels <= GATHER_CHANNELS else assert_same_bits
+
+
+CONV_CHANNELS = [(2, 8), (8, 8), (8, 1), (1, 3)]
+CONV_SHAPES = [(1, 1), (7, 6), (6, 7), (64, 64)]
+
+
+@pytest.mark.parametrize("c_in, c_out", CONV_CHANNELS)
+@pytest.mark.parametrize("height, width", CONV_SHAPES)
 def test_conv_kernels_bit_identical_to_tensordot_loops(c_in, c_out, height, width):
     rng = Xoshiro256PP(100 * c_in + c_out + height)
     x = rng.normal_array((c_in, height, width))
     w = rng.normal_array((c_out, c_in, KERNEL, KERNEL))
     b = rng.normals(c_out)
-    assert_same_bits(conv2d(x, w, b), tensordot_conv2d(x, w, b))
+    matches_loop(c_in)(conv2d(x, w, b), tensordot_conv2d(x, w, b))
 
     # A cotangent masked like a ReLU's: exact 0.0 and -0.0 entries and blocks.
     grad = rng.normal_array((c_out, height, width))
@@ -96,11 +134,39 @@ def test_conv_kernels_bit_identical_to_tensordot_loops(c_in, c_out, height, widt
     grad[:, : height // 2, : width // 2] = 0.0
     grad[:, height // 2 :, width // 2 :] = -0.0
     for g in (grad, rng.normal_array(grad.shape)):
-        assert_same_bits(conv2d_input_grad(g, w), tensordot_conv2d_input_grad(g, w))
+        matches_loop(c_out)(conv2d_input_grad(g, w), tensordot_conv2d_input_grad(g, w))
         # The transposed conv is the adjoint of the bias-free conv.
         lhs = float(np.sum(conv2d(x, w, np.zeros(c_out)) * g))
         rhs = float(np.sum(x * conv2d_input_grad(g, w)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("c_in, c_out", CONV_CHANNELS)
+@pytest.mark.parametrize("height, width", CONV_SHAPES)
+def test_weight_grad_matches_tensordot_loop(c_in, c_out, height, width):
+    rng = Xoshiro256PP(200 * c_in + c_out + height)
+    x = rng.normal_array((c_in, height, width))
+    grad = rng.normal_array((c_out, height, width))
+    grad_w, grad_b = conv2d_weight_grad(grad, x)
+    matches_loop(c_in)(grad_w, tensordot_conv2d_weight_grad(grad, x))
+    assert_same_bits(grad_b, grad.sum(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("height, width", CONV_SHAPES)
+def test_input_grad_is_the_image_row_of_the_first_transpose(height, width):
+    # _input_grad forms the first layer's transpose for the image channel
+    # alone; the time channel's row is never read.
+    weights = init_weights(23)
+    rng = Xoshiro256PP(24 + height)
+    x = rng.normal_array((height, width))
+    cot = rng.normal_array((height, width))
+    masks = [a > 0.0 for a in _forward_cache(x, 300, weights, SCHED)[1][1:]]
+    grad = cot[None]
+    for i in range(len(weights) - 1, 0, -1):
+        grad = conv2d_input_grad(grad, weights[i][0]) * masks[i - 1]
+    both = conv2d_input_grad(grad, weights[0][0])
+    assert both.shape == (2, height, width)
+    assert_rounding_close(_input_grad(cot, weights, masks), both[0])
 
 
 def test_zero_weights_zero_prediction():
@@ -343,7 +409,43 @@ def test_prior_denoise_and_vjp_bit_identical_per_slice():
      "weight vector length"),
     (lambda: train_denoiser(np.zeros((5, 8, 8)), SCHED, epochs=-1, seed=0,
                             lr=1e-3, holdout_fraction=0.2), "epochs"),
-], ids=["weights-length", "negative-epochs"])
+    (lambda: ConvDenoiserPrior(SCHED, init_weights(0)).denoise_and_vjp(np.zeros((8, 8)), 10),
+     r"\(nz, ny, nx\) stack"),
+    (lambda: ConvDenoiserPrior(SCHED, init_weights(0)).denoise_and_vjp(np.zeros((2, 3, 8, 8)), 10),
+     r"\(nz, ny, nx\) stack"),
+], ids=["weights-length", "negative-epochs", "2d-input", "4d-input"])
 def test_convnet_rejects_bad_inputs(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# A fused prior call on 16 slices of 64x64 and a 2-epoch training run, wide
+# enough for BLAS to split its products across threads.  Prints the sha256
+# of every output.
+BLAS_THREADS_RUN = """
+import hashlib
+import numpy as np
+from nerdct import ConvDenoiserPrior, NoiseSchedule, shepp_logan_3d, train_denoiser
+from nerdct.convnet import init_weights, pack_weights
+from nerdct.rng import Xoshiro256PP
+sched = NoiseSchedule.linear_beta(n_sampling_steps=30)
+rng = Xoshiro256PP(30)
+x_t = rng.normal_array((16, 64, 64))
+x0, vjp = ConvDenoiserPrior(sched, init_weights(31)).denoise_and_vjp(x_t, 400)
+weights, record = train_denoiser(shepp_logan_3d(64, 64, 8), sched, epochs=2, seed=32,
+                                 lr=2e-3, holdout_fraction=0.25)
+losses = np.array(record["train_epoch_losses"] + [record["holdout_loss"]])
+for array in (x0, vjp(rng.normal_array(x_t.shape)), pack_weights(weights), losses):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+def test_conv_bits_do_not_depend_on_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
