@@ -144,8 +144,8 @@ def cmd_train_denoiser(cfg):
         schedule,
         epochs=cfg.epochs,
         seed=cfg.seed,
-        lr=cfg.train_lr,
-        holdout_fraction=cfg.holdout_fraction,
+        lr=convnet.TRAIN_LR,
+        holdout_fraction=convnet.HOLDOUT_FRACTION,
     )
     convnet.save_weights(cfg.weights_path, weights, schedule, record)
     print(

@@ -36,8 +36,6 @@ class RunConfig(SamplerConfig):
     weights_path: str = "weights.f64"
     # denoiser training
     epochs: int = 4
-    train_lr: float = 2e-3
-    holdout_fraction: float = 0.2
     # file paths
     volume_path: str = "phantom.f64"
     sinogram_path: str = "sinogram.f64"
@@ -60,12 +58,6 @@ class RunConfig(SamplerConfig):
         build_schedule(self)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.train_lr > 0:
-            raise ValueError(f"train_lr must be > 0, got {self.train_lr}")
-        if not 0 < self.holdout_fraction < 1:
-            raise ValueError(
-                f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
-            )
         return self
 
 

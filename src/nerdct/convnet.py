@@ -22,6 +22,9 @@ from .volume import load_raw, save_raw
 KERNEL = 3
 CHANNELS = (2, 8, 8, 1)  # image + time channel in, eps out
 GATHER_CHANNELS = 2  # operands this thin run as one matmul on copied windows
+#: train-denoiser's Adam rate and the share of slices it holds out.
+TRAIN_LR = 2e-3
+HOLDOUT_FRACTION = 0.2
 
 
 def _windows(x):
@@ -56,8 +59,6 @@ def _tap_sum(x, taps, scatter):
         kernel = taps.transpose(2, 3, 0, 1).reshape(taps.shape[2], -1)
         return (kernel @ _windows(x)).reshape(-1, height, width)
     taps = np.ascontiguousarray(taps) if taps.shape[2] > 1 else taps
-    # matmul runs a one-column kernel (an outer product) through a slow loop.
-    product = np.matmul if taps.shape[3] > 1 else np.multiply
     row = width + 4
     n = (height - 1) * row + width
     padded = np.zeros((c, height + 2, row))
@@ -69,7 +70,7 @@ def _tap_sum(x, taps, scatter):
         for dx in range(KERNEL):
             shift = dy * row + dx
             read, write = (row + 1, shift) if scatter else (shift, row + 1)
-            product(taps[dy, dx], flat[:, read:read + n], out=prod)
+            np.matmul(taps[dy, dx], flat[:, read:read + n], out=prod)
             out[:, write:write + n] += prod
     return out.reshape(-1, height + 2, row)[:, 1:height + 1, 1:width + 1]
 
@@ -251,6 +252,10 @@ def train_denoiser(slices, schedule, epochs, seed, lr, holdout_fraction):
         raise ValueError(f"expected (n_slices, H, W), got shape {slices.shape}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if not 0 < holdout_fraction < 1:
+        raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     n_holdout = max(1, int(round(holdout_fraction * len(slices))))
     if n_holdout >= len(slices):
         raise ValueError(f"not enough slices ({len(slices)}) to hold out {n_holdout}")

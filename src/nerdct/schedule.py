@@ -31,9 +31,9 @@ class NoiseSchedule:
             raise ValueError("alpha_bar must be a 1D array of length T+1 >= 2")
         if ab[0] != 1.0:
             raise ValueError(f"alpha_bar[0] must be 1, got {ab[0]}")
-        if np.any(np.diff(ab) >= 0):
+        if not np.all(np.diff(ab) < 0):  # a NaN entry fails too
             raise ValueError("alpha_bar must be strictly decreasing")
-        if ab[-1] <= 0 or ab[-1] > 1:
+        if not ab[-1] > 0:
             raise ValueError("alpha_bar values must stay in (0, 1]")
         if steps.ndim != 1 or len(steps) < 1:
             raise ValueError("sampling_steps must be a non-empty 1D array")

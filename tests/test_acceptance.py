@@ -32,6 +32,7 @@ from nerdct import (
     soft_threshold,
     uniform_view_indices,
 )
+from bench_mixture import BENCH_MIXTURE
 from exact_inner import solve_inner_exactly
 from nerdct.cli import main
 from nerdct.convnet import (
@@ -47,11 +48,6 @@ from nerdct.convnet import (
 # One-time oracle-run results for the 64x64x32 Shepp-Logan benchmark
 # (8 of 180 views, noise std 0.1, seed 0, N = 30 sampling steps, shared
 # four-component GMM prior).  PSNRs in dB, regression band +-0.1 dB.
-
-BENCH_WEIGHTS = [0.7604, 0.1987, 0.0109, 0.0301]
-BENCH_WEIGHTS = [w / sum(BENCH_WEIGHTS) for w in BENCH_WEIGHTS]
-BENCH_MEANS = [0.0, 0.2, 0.3, 1.0]
-BENCH_STDS = [0.05, 0.05, 0.05, 0.05]
 
 NERD_P_PIN = dict(method="nerd-p", n_steps=30, seed=0, lr=0.02, inner_steps=40,
                   lam=0.1, lam_z=0.05, sigma=20.0, tau=0.01, lam_couple=1.0)
@@ -88,7 +84,7 @@ def bench_problem():
         op = CTOperator(64, 64, 32, geom, uniform_view_indices(180, 8))
         y = add_gaussian_noise(op.forward(phantom), 0.1, 0)
         sched = NoiseSchedule.linear_beta(n_sampling_steps=30)
-        prior = GmmScalarPrior(sched, BENCH_WEIGHTS, BENCH_MEANS, BENCH_STDS)
+        prior = GmmScalarPrior(sched, *BENCH_MIXTURE)
         _bench_cache["problem"] = (phantom, op, y, sched, prior)
     return _bench_cache["problem"]
 

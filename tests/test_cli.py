@@ -131,7 +131,7 @@ def test_sampler_keys_validated_at_load(tmp_path):
                      "gmm_components=0.5:0:0.1",  # weights sum to 0.5
                      "gmm_components=1:nan:0.1",
                      "seed=-1", "seed=18446744073709551616",  # 2**64
-                     "train_lr=0", "train_lr=-5"):
+                     "epochs=-1"):
         args = BASE + paths_args(tmp_path) + ["--set", override]
         assert main(["generate-phantom"] + args) == 1, override
         assert not (tmp_path / "phantom.f64").exists(), override
@@ -158,10 +158,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # cg_max_iter and nerd-p's one extrapolation.  The three after them were
     # second names of lam, lam_z and lam_couple.  The last five were run
     # keys: the detector row follows from nx and the schedule is DDPM's.
+    # The last two are train-denoiser's fixed rate and hold-out share.
     for key in ("does_not_exist", "dds_gamma", "dds_rho", "cg_tol",
                 "pdhg_extrapolation", "lambda", "lambda_z", "lambda_couple",
                 "n_detectors", "detector_spacing", "num_train_steps",
-                "beta_start", "beta_end"):
+                "beta_start", "beta_end", "train_lr", "holdout_fraction"):
         args = paths_args(tmp_path) + ["--set", f"{key}=1"]
         assert main(["generate-phantom"] + args) == 1, key
         assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -404,16 +404,27 @@ def test_prior_denoise_and_vjp_bit_identical_per_slice():
     assert all(arr.dtype == bool for arr in held if arr.shape[-2:] == vol.shape[-2:])
 
 
+def train_blank(**changes):
+    """train_denoiser on five blank 8x8 slices, one epoch unless changed."""
+    args = {"epochs": 1, "seed": 0, "lr": 1e-3, "holdout_fraction": 0.2, **changes}
+    return train_denoiser(np.zeros((5, 8, 8)), SCHED, **args)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: unpack_weights(np.zeros(len(pack_weights(init_weights(0))) + 1)),
      "weight vector length"),
-    (lambda: train_denoiser(np.zeros((5, 8, 8)), SCHED, epochs=-1, seed=0,
-                            lr=1e-3, holdout_fraction=0.2), "epochs"),
+    (lambda: train_blank(epochs=-1), "epochs"),
+    (lambda: train_blank(lr=-1.0), "lr must be finite and >= 0"),
+    (lambda: train_blank(lr=np.nan), "lr must be finite and >= 0"),
+    (lambda: train_blank(lr=np.inf), "lr must be finite and >= 0"),
+    (lambda: train_blank(holdout_fraction=0.0), r"holdout_fraction must be in \(0, 1\)"),
+    (lambda: train_blank(holdout_fraction=-3.0), r"holdout_fraction must be in \(0, 1\)"),
     (lambda: ConvDenoiserPrior(SCHED, init_weights(0)).denoise_and_vjp(np.zeros((8, 8)), 10),
      r"\(nz, ny, nx\) stack"),
     (lambda: ConvDenoiserPrior(SCHED, init_weights(0)).denoise_and_vjp(np.zeros((2, 3, 8, 8)), 10),
      r"\(nz, ny, nx\) stack"),
-], ids=["weights-length", "negative-epochs", "2d-input", "4d-input"])
+], ids=["weights-length", "negative-epochs", "negative-lr", "nan-lr", "inf-lr",
+        "zero-holdout", "negative-holdout", "2d-input", "4d-input"])
 def test_convnet_rejects_bad_inputs(call, message):
     with pytest.raises(ValueError, match=message):
         call()

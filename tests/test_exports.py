@@ -22,7 +22,8 @@ an attribute in `src/` or `benchmarks/` (no method that only tests call),
 no loop of `Sampler._dds_estimate` and no function nested in it copies or
 reshapes (`dds` keeps its iterates in the projector's column layout for the
 whole step), README's config key table lists exactly the fields of
-`RunConfig`, and README's library example runs as written."""
+`RunConfig`, README's minimal `run.cfg` builds a valid `RunConfig`, and
+README's library example runs as written."""
 
 import ast
 import math
@@ -33,7 +34,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from nerdct.config import RunConfig
+from nerdct.config import RunConfig, build_run_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nerdct"
@@ -411,6 +412,15 @@ def readme_config_keys():
 
 def test_readme_config_keys_match_run_config():
     assert readme_config_keys() == {f.name for f in fields(RunConfig)}
+
+
+def test_readme_run_cfg_example_builds():
+    # Every key it sets must still exist and pass validation.
+    section = (ROOT / "README.md").read_text().split("A minimal `run.cfg`:", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    values = parse_config_text(block)
+    assert "method" in values and "volume_path" in values, sorted(values)
+    build_run_config(values, {})
 
 
 def test_readme_library_example_runs():

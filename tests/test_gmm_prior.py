@@ -8,6 +8,8 @@ import pytest
 from nerdct import DenoiserPrior, GmmScalarPrior, IdentityPrior, NoiseSchedule, priors
 from nerdct.rng import Xoshiro256PP
 
+from bench_mixture import BENCH_MIXTURE
+
 
 def make_prior(weights, means, stds, n_sampling_steps=30):
     sched = NoiseSchedule.linear_beta(n_sampling_steps=n_sampling_steps)
@@ -391,16 +393,10 @@ def test_one_voxel_out_of_range_takes_the_exact_pass(value):
     assert value_is_fused(prior, x, 500)
 
 
-# The benchmark's mixture: at t = 3..7 its tables miss the exact pass by
-# 1.00-1.16e-7 at a cell midpoint.
-BENCH_WEIGHTS = [0.7604, 0.1987, 0.0109, 0.0301]
-BENCH_MIXTURE = ([w / sum(BENCH_WEIGHTS) for w in BENCH_WEIGHTS],
-                 [0.0, 0.2, 0.3, 1.0], [0.05] * 4)
-
-
 def test_kept_tables_meet_the_midpoint_bound():
-    # The bound is a literal here, so a looser _TABLE_TOL, which would keep
-    # the tables at t = 3..7, fails.
+    # The benchmark's mixture: at t = 3..7 its tables miss the exact pass by
+    # 1.00-1.16e-7 at a cell midpoint.  The bound is a literal here, so a
+    # looser _TABLE_TOL, which would keep the tables at t = 3..7, fails.
     prior, _ = make_prior(*BENCH_MIXTURE)
     nodes = np.arange(priors._TABLE_CELLS + 1) * priors._TABLE_STEP - priors._TABLE_EDGE
     midpoints = nodes[:-1] + 0.5 * priors._TABLE_STEP

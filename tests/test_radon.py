@@ -330,6 +330,15 @@ def test_default_geometry_detector_count():
     assert angles[-1] < math.pi
 
 
+@pytest.mark.parametrize("name, bad", [
+    *[(name, bad) for name in ("n_angles_full", "n_detectors") for bad in (True, 0, 2.5)],
+    *[("detector_spacing", bad) for bad in (0, -1, math.inf, True)],
+])
+def test_geometry_rejects_bad_counts_and_spacings(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        ProjectionGeometry(**{"n_angles_full": 12, "n_detectors": 23, name: bad})
+
+
 def test_slicewise_structure():
     # Each z-slice projects independently: sinogram slice k depends only
     # on volume slice k.

@@ -68,6 +68,11 @@ def test_schedule_validation():
             NoiseSchedule(alpha_bar, np.array([1]))
     with pytest.raises(ValueError, match="sampling_steps must be a non-empty"):
         NoiseSchedule(np.array([1.0, 0.5]), np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match=r"alpha_bar values must stay in \(0, 1\]"):
+        NoiseSchedule(np.array([1.0, 0.5, 0.0]), np.array([2, 1]))  # ends at 0
+    for alpha_bar in ([1.0, np.nan, 0.5], [1.0, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="alpha_bar must be strictly decreasing"):
+            NoiseSchedule(np.array(alpha_bar), np.array([2, 1]))
 
 
 def test_tweedie_formula_direct():
